@@ -4,11 +4,13 @@ __version__ = "0.1.0"
 
 from .central_charge import (
     BWParams,
+    ChargeForms,
     OmegaVector,
     SupportBound,
     WallHit,
     WallScan,
     closed_form_Z,
+    compile_charge,
     eval_Z,
     in_P_plus,
     omega_from_bw,

@@ -8,20 +8,27 @@ complexified Mukai coordinates
 so evaluation is just the Mukai pairing.  For rational B and alpha in
 Q(sqrt(d)) every component stays inside the quadratic-complex scalars and
 all predicates below are decided exactly.
+
+Evaluation has one kernel: `compile_charge` clears the denominators of
+the characteristic vector once and turns Z into four integer linear
+forms, so each class costs four integer dot products.  `closed_form_Z`
+computes the same charge from (B, alpha) directly and is kept as the
+independent cross-check.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import mpmath
 
 from .spherical_enum import SearchBox, enumerate_spherical
-from .errors import DimensionError, DomainError, EmptySupport
+from .errors import DimensionError, DomainError, EmptySupport, RadicandMismatch
 from .mukai_lattice import (
     MukaiVector,
     NSLattice,
@@ -29,7 +36,7 @@ from .mukai_lattice import (
     SphericalNormBasis,
     spherical_norm,
 )
-from .exact_scalars import QuadComplex, QuadNumber, try_sqrt
+from .exact_scalars import QuadComplex, QuadNumber, quad_sign, try_sqrt
 
 
 @dataclass(frozen=True)
@@ -104,18 +111,100 @@ def omega_from_bw(lat: NSLattice, params: BWParams) -> OmegaVector:
     return OmegaVector(r, D, QuadComplex(s_re, s_im))
 
 
+class ChargeForms(NamedTuple):
+    """A charge compiled to four integer linear forms on (r, D, s).
+
+    With L = denom clearing every denominator of the characteristic
+    vector,
+
+        L * Z(v) = (re_a . v + (re_b . v) sqrt(d)) + i (im_a . v + (im_b . v) sqrt(d)),
+
+    each form an integer tuple indexed like (r, D_0, ..., s).  Built once
+    by `compile_charge`, it evaluates a class with four integer dot
+    products and no rational arithmetic.  A NamedTuple, not a frozen
+    dataclass, because defining a dataclass adds about a millisecond to
+    the import that every CLI command pays.
+    """
+
+    denom: int
+    d: int
+    re_a: tuple[int, ...]
+    re_b: tuple[int, ...]
+    im_a: tuple[int, ...]
+    im_b: tuple[int, ...]
+
+    def ints(self, v) -> tuple[int, int, int, int]:
+        """(re_a . v, re_b . v, im_a . v, im_b . v); zero exactly on the kernel."""
+        x = (v.v if isinstance(v, SphericalClass) else v).coords()
+        if len(x) != len(self.re_a):
+            raise DimensionError(
+                f"class has {len(x)} coordinates, the charge expects {len(self.re_a)}"
+            )
+        return (
+            sum(map(operator.mul, self.re_a, x)),
+            sum(map(operator.mul, self.re_b, x)),
+            sum(map(operator.mul, self.im_a, x)),
+            sum(map(operator.mul, self.im_b, x)),
+        )
+
+    def value(self, v) -> QuadComplex:
+        """Z(v) as an exact quadratic-complex number."""
+        ra, rb, ia, ib = self.ints(v)
+        L, d = self.denom, self.d
+        return QuadComplex(
+            QuadNumber(Fraction(ra, L), Fraction(rb, L), d),
+            QuadNumber(Fraction(ia, L), Fraction(ib, L), d),
+        )
+
+
+def compile_charge(lat: NSLattice, omega: OmegaVector) -> ChargeForms:
+    """The integer forms of Z(v) = <omega, v> for any characteristic vector.
+
+    Z(v) = sum_ij omega.D_i G_ij v.D_j - omega.r v.s - omega.s v.r, so the
+    coefficient of v.r is -omega.s, of v.D_j is (G omega.D)_j and of v.s
+    is -omega.r.  Every component must be rational or live over
+    sqrt(lat.degree).
+    """
+    if len(omega.D) != lat.rank:
+        raise DimensionError(
+            f"charge has {len(omega.D)} divisor components, lattice rank is {lat.rank}"
+        )
+    d = lat.degree
+    parts = [x for z in (omega.r, *omega.D, omega.s) for x in (z.re, z.im)]
+    for x in parts:
+        if x.b != 0 and x.d != d:
+            raise RadicandMismatch(
+                f"charge component over sqrt({x.d}), the lattice field is sqrt({d})"
+            )
+    L = math.lcm(*(q.denominator for x in parts for q in (x.a, x.b)))
+
+    def scaled(q: Fraction) -> int:
+        return q.numerator * (L // q.denominator)
+
+    def form(part) -> tuple[int, ...]:
+        # part picks one rational part of a component; G is symmetric, so
+        # the coefficient of v.D_j is row j of G dotted with L * omega.D
+        w_D = [scaled(part(z)) for z in omega.D]
+        d_coeffs = (sum(map(operator.mul, row, w_D)) for row in lat.gram)
+        return (-scaled(part(omega.s)), *d_coeffs, -scaled(part(omega.r)))
+
+    return ChargeForms(
+        L,
+        d,
+        form(lambda z: z.re.a),
+        form(lambda z: z.re.b),
+        form(lambda z: z.im.a),
+        form(lambda z: z.im.b),
+    )
+
+
 def eval_Z(lat: NSLattice, omega: OmegaVector, v) -> QuadComplex:
-    """Mukai pairing of the characteristic vector with an integer class."""
-    v = v.v if isinstance(v, SphericalClass) else v
-    acc = None
-    for i, row in enumerate(lat.gram):
-        coeff = sum(g * c for g, c in zip(row, v.D))
-        if coeff == 0:
-            continue
-        term = omega.D[i] * coeff
-        acc = term if acc is None else acc + term
-    tail = -(omega.r * v.s) - (omega.s * v.r)
-    return tail if acc is None else acc + tail
+    """Mukai pairing of the characteristic vector with an integer class.
+
+    Compiles the charge on every call; to evaluate many classes, compile
+    once with `compile_charge` and call `value` on the result.
+    """
+    return compile_charge(lat, omega).value(v)
 
 
 def closed_form_Z(lat: NSLattice, B: Sequence[Fraction], alpha, v) -> QuadComplex:
@@ -190,6 +279,18 @@ def _euclid_norm(v: MukaiVector) -> float:
     return math.sqrt(sum(c * c for c in v.coords()))
 
 
+def _float_quad(a: int, b: int, d: int) -> float:
+    """a + b*sqrt(d) as a float, free of cancellation between the terms.
+
+    When the terms have opposite signs the value is computed as
+    (a^2 - b^2 d) / (a - b sqrt(d)): the numerator is an exact integer
+    and the denominator adds two numbers of one sign.
+    """
+    if (a > 0 and b < 0) or (a < 0 and b > 0):
+        return (a * a - b * b * d) / (a - b * math.sqrt(d))
+    return a + b * math.sqrt(d)
+
+
 def spherical_wall_hits(
     lat: NSLattice,
     omega: OmegaVector,
@@ -206,14 +307,15 @@ def spherical_wall_hits(
     """
     if mode not in ("exact", "float"):
         raise DomainError(f"unknown mode {mode!r}")
+    forms = compile_charge(lat, omega)
+    L, d = forms.denom, forms.d
     hits = []
     for cls in enumerate_spherical(lat, box, jobs=jobs):
-        z = eval_Z(lat, omega, cls)
-        if mode == "exact":
-            if z.is_zero:
-                hits.append(cls)
-        else:
-            size = abs(complex(z.approx(64)))
+        ra, rb, ia, ib = forms.ints(cls.v)
+        if not (ra or rb or ia or ib):
+            hits.append(cls)
+        elif mode == "float":
+            size = math.hypot(_float_quad(ra, rb, d) / L, _float_quad(ia, ib, d) / L)
             if size <= tol * max(1.0, _euclid_norm(cls.v)):
                 hits.append(cls)
     return hits
@@ -353,15 +455,31 @@ def support_constant(
     increase the bound, which is what makes it usable as a monotone
     lower estimate of the true support constant.
     """
-    best: SupportBound | None = None
+    forms = compile_charge(lat, omega)
+    d = forms.d
+    # L^2 |Z(v)|^2 = P + Q sqrt(d) > 0 off the kernel, so the ratio is
+    # n^2 L^2 / (P + Q sqrt(d)) and ratios compare by cross-multiplying
+    best = None
     for cls in enumerate_spherical(lat, box):
-        z = eval_Z(lat, omega, cls)
-        if z.is_zero:
+        ra, rb, ia, ib = forms.ints(cls.v)
+        if not (ra or rb or ia or ib):
             continue
         n = spherical_norm(lat, basis, cls)
-        ratio = QuadNumber(Fraction(n * n), 0, lat.degree) / z.norm_square()
-        if best is None or ratio > best.ratio_sq:
-            best = SupportBound(ratio, cls)
+        n_sq = n * n
+        P = ra * ra + ia * ia + d * (rb * rb + ib * ib)
+        Q = 2 * (ra * rb + ia * ib)
+        if best is not None:
+            _, best_n_sq, best_P, best_Q = best
+            # strictly larger only, so ties keep the first class enumerated
+            gain = quad_sign(
+                n_sq * best_P - best_n_sq * P, n_sq * best_Q - best_n_sq * Q, d
+            )
+            if gain <= 0:
+                continue
+        best = (cls, n_sq, P, Q)
     if best is None:
         raise EmptySupport(f"no class with nonzero charge in box {box.as_tuple()}")
-    return best
+    cls, n_sq, P, Q = best
+    L = forms.denom
+    ratio = QuadNumber(n_sq * L * L, 0, d) / QuadNumber(P, Q, d)
+    return SupportBound(ratio, cls)

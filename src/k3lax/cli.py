@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from dataclasses import dataclass
@@ -154,7 +155,14 @@ def _parse_box(text: str) -> tuple[int, int, int]:
     return parts  # type: ignore[return-value]
 
 
+def _is_int(x) -> bool:
+    # bool is a subclass of int, so JSON true would otherwise pass as 1
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _vector(coords: tuple[int, ...], lat: NSLattice, label: str) -> MukaiVector:
+    if not all(_is_int(c) for c in coords):
+        raise ConfigError(f"{label} coordinates must be integers, got {coords!r}")
     if len(coords) != lat.rank + 2:
         raise ConfigError(
             f"{label} needs {lat.rank + 2} coordinates r,D...,s for rank {lat.rank}"
@@ -180,7 +188,7 @@ def _load_mass_table(path: str, mode: str) -> dict[MukaiVector, object]:
         raise ConfigError(f"cannot read mass table {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
-    if not isinstance(data, dict) or "masses" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("masses"), list):
         raise ConfigError("mass table must be an object with a 'masses' list")
     table: dict[MukaiVector, object] = {}
     for entry in data["masses"]:
@@ -189,17 +197,34 @@ def _load_mass_table(path: str, mode: str) -> dict[MukaiVector, object]:
             raw = entry["mass_sq"]
         except (KeyError, TypeError):
             raise ConfigError(f"malformed mass entry {entry!r}")
-        if mode == "exact":
-            if isinstance(raw, float):
-                raise ConfigError(
-                    "exact mode needs integer or fraction-string masses; "
-                    "rerun with --mode float for IEEE input"
-                )
-            value = Fraction(raw) if isinstance(raw, str) else Fraction(int(raw))
-        else:
-            value = float(Fraction(raw)) if isinstance(raw, str) else float(raw)
-        table[key] = value
+        if not all(_is_int(c) for c in key.coords()):
+            raise ConfigError(f"mass entry coordinates must be integers: {entry!r}")
+        table[key] = _mass_value(raw, mode)
     return table
+
+
+def _mass_value(raw, mode: str):
+    """One squared mass: an integer, a fraction string, or (float mode) a float."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
+        raise ConfigError(
+            f"mass_sq must be a number or a fraction string, got {raw!r}"
+        )
+    if mode == "exact" and isinstance(raw, float):
+        raise ConfigError(
+            "exact mode needs integer or fraction-string masses; "
+            "rerun with --mode float for IEEE input"
+        )
+    if isinstance(raw, str):
+        raw = _parse_fraction(raw, "mass_sq")
+    if mode == "exact":
+        return Fraction(raw)
+    try:
+        value = float(raw)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"mass_sq must be a finite number, got {raw!r}")
+    return value
 
 
 def _default_lattices() -> list[NSLattice]:
@@ -651,6 +676,13 @@ def _execute(config: RunConfig):
         )
     if config.jobs < 1:
         raise ConfigError("--jobs must be at least 1")
+    if len(config.box) != 3 or not all(_is_int(b) and b >= 0 for b in config.box):
+        raise ConfigError(
+            f"--box needs three nonnegative integers R,D,S, got {config.box!r}"
+        )
+    for label, value in (("--alpha", config.alpha), ("--alpha-min", config.alpha_min)):
+        if value is not None and value <= 0:
+            raise ConfigError(f"{label} must be positive, got {value}")
     if config.command == "selftest":
         inputs, results, table = _cmd_selftest(config)
         lattice_label = None

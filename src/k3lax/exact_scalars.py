@@ -35,6 +35,29 @@ def sqrt_fraction(x: Fraction) -> Fraction | None:
     return Fraction(num, den)
 
 
+def quad_sign(a, b, d: int) -> int:
+    """Exact sign of a + b*sqrt(d) for rationals (or integers) a and b.
+
+    When the two terms have opposite signs the result hinges on
+    comparing a^2 with b^2*d, which stays in exact arithmetic.
+    """
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0:
+        return (b > 0) - (b < 0)
+    if a > 0 and b > 0:
+        return 1
+    if a < 0 and b < 0:
+        return -1
+    lhs = a * a
+    rhs = b * b * d
+    if lhs == rhs:
+        return 0
+    # a and b disagree in sign; the larger square decides.
+    bigger_is_a = lhs > rhs
+    return 1 if (a > 0) == bigger_is_a else -1
+
+
 class QuadNumber:
     """An element a + b*sqrt(d) of Q(sqrt(d)), d a positive integer."""
 
@@ -110,27 +133,8 @@ class QuadNumber:
         return self
 
     def sign(self) -> int:
-        """Exact sign in {-1, 0, 1}.
-
-        When the two terms have opposite signs the result hinges on
-        comparing a^2 with b^2*d, which stays in integer arithmetic.
-        """
-        a, b = self._a, self._b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return (b > 0) - (b < 0)
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        lhs = a * a
-        rhs = b * b * self._d
-        if lhs == rhs:
-            return 0
-        # a and b disagree in sign; the larger square decides.
-        bigger_is_a = lhs > rhs
-        return 1 if (a > 0) == bigger_is_a else -1
+        """Exact sign in {-1, 0, 1}."""
+        return quad_sign(self._a, self._b, self._d)
 
     def conjugate(self) -> QuadNumber:
         """Field conjugate a - b*sqrt(d)."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .central_charge import OmegaVector, eval_Z, in_P_plus, reference_omega
+from .central_charge import OmegaVector, compile_charge, in_P_plus, reference_omega
 from .spherical_enum import GoodBasis, companion_classes
 from .errors import (
     DegenerateCharge,
@@ -39,9 +39,10 @@ class MassOracle:
     @classmethod
     def from_charge(cls, lat: NSLattice, omega: OmegaVector) -> MassOracle:
         """Oracle computing |<omega, v>|^2 exactly from a known charge."""
+        forms = compile_charge(lat, omega)
 
         def query(v: SphericalClass):
-            return eval_Z(lat, omega, v).norm_square()
+            return forms.value(v).norm_square()
 
         return cls(query)
 

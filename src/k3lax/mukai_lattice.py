@@ -47,7 +47,8 @@ class NSLattice:
             if len(row) != n:
                 raise LatticeError("Gram matrix is not square")
             for entry in row:
-                if not isinstance(entry, int):
+                # bool is a subclass of int; JSON true must not pass as 1
+                if not isinstance(entry, int) or isinstance(entry, bool):
                     raise LatticeError(f"non-integer Gram entry {entry!r}")
         for i in range(n):
             for j in range(i + 1, n):
@@ -67,7 +68,7 @@ class NSLattice:
             raise LatticeError(
                 f"ample class has length {len(ample)}, rank is {n}"
             )
-        if not all(isinstance(c, int) for c in ample):
+        if not all(isinstance(c, int) and not isinstance(c, bool) for c in ample):
             raise LatticeError("ample class must have integer coordinates")
         self._gram = rows
         self._ample = ample

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,6 +6,8 @@ import pytest
 
 from k3lax import (
     BWParams,
+    ChargeForms,
+    MassOracle,
     MukaiVector,
     OmegaVector,
     QuadComplex,
@@ -13,15 +16,21 @@ from k3lax import (
     SphericalClass,
     SphericalNormBasis,
     closed_form_Z,
+    compile_charge,
+    enumerate_spherical,
     eval_Z,
+    good_basis,
     in_P_plus,
     omega_from_bw,
+    reconstruct,
     reference_omega,
+    spherical_norm,
     spherical_wall_hits,
     support_constant,
     wall_scan_alpha,
 )
-from k3lax.errors import DimensionError, DomainError, EmptySupport
+from k3lax.central_charge import _float_quad
+from k3lax.errors import DimensionError, DomainError, EmptySupport, RadicandMismatch
 
 
 def _rational_invariants(lat, B, v):
@@ -115,6 +124,98 @@ class TestEvalZ:
         assert eval_Z(rho1_d1, omega, cls).is_zero
 
 
+def _pair_by_hand(lat, omega, v):
+    """<omega, v> = sum_ij omega.D_i G_ij v.D_j - omega.r v.s - omega.s v.r,
+    term by term in QuadComplex arithmetic."""
+    acc = -(omega.r * v.s) - (omega.s * v.r)
+    for i, row in enumerate(lat.gram):
+        for j, g in enumerate(row):
+            acc = acc + omega.D[i] * (g * v.D[j])
+    return acc
+
+
+def _random_quad_complex(rng, d):
+    def part():
+        return QuadNumber(
+            Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+            Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+            d,
+        )
+
+    return QuadComplex(part(), part())
+
+
+class TestCompileCharge:
+    def test_value_matches_closed_form(self, all_lattices):
+        rng = random.Random(71)
+        for lat in all_lattices:
+            irrational_forms = False
+            for _ in range(40):
+                B = tuple(
+                    Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                    for _ in range(lat.rank)
+                )
+                p_q = Fraction(rng.randint(1, 8), rng.randint(1, 4))
+                # p/q * sqrt(d): irrational on rho1_d2, rational where d = 1
+                alpha = p_q if rng.random() < 0.5 else QuadNumber(0, p_q, lat.degree)
+                forms = compile_charge(lat, omega_from_bw(lat, BWParams(B, alpha)))
+                assert isinstance(forms, ChargeForms)
+                assert forms.d == lat.degree
+                assert len(forms.re_a) == lat.rank + 2
+                irrational_forms |= any(forms.re_b) or any(forms.im_b)
+                for _ in range(5):
+                    v = MukaiVector(
+                        rng.randint(-8, 8),
+                        tuple(rng.randint(-8, 8) for _ in range(lat.rank)),
+                        rng.randint(-8, 8),
+                    )
+                    z = closed_form_Z(lat, B, alpha, v)
+                    assert forms.value(v) == z
+                    ra, rb, ia, ib = forms.ints(v)
+                    L = forms.denom
+                    assert QuadNumber(ra, rb, lat.degree) == z.re * L
+                    assert QuadNumber(ia, ib, lat.degree) == z.im * L
+            assert irrational_forms == (lat.degree == 2)
+
+    def test_general_charge_matches_hand_pairing(self, all_lattices):
+        rng = random.Random(73)
+        for lat in all_lattices:
+            for _ in range(10):
+                omega = OmegaVector(
+                    _random_quad_complex(rng, lat.degree),
+                    tuple(
+                        _random_quad_complex(rng, lat.degree) for _ in range(lat.rank)
+                    ),
+                    _random_quad_complex(rng, lat.degree),
+                )
+                for charge in (omega, omega.conjugate()):
+                    forms = compile_charge(lat, charge)
+                    for cls in enumerate_spherical(lat, SearchBox(2, 2, 6)):
+                        assert forms.value(cls) == _pair_by_hand(lat, charge, cls.v)
+
+    def test_reconstructed_charge(self, rho1_d2):
+        basis = good_basis(rho1_d2, SearchBox(8, 8, 40))
+        hidden = omega_from_bw(
+            rho1_d2, BWParams((Fraction(1, 3),), QuadNumber(0, Fraction(1, 2), 2))
+        )
+        rec = reconstruct(rho1_d2, basis, MassOracle.from_charge(rho1_d2, hidden))
+        for charge in (rec.omega, rec.omega.conjugate()):
+            forms = compile_charge(rho1_d2, charge)
+            for cls in enumerate_spherical(rho1_d2, SearchBox(3, 3, 20)):
+                assert forms.value(cls) == _pair_by_hand(rho1_d2, charge, cls.v)
+
+    def test_rejections(self, rho1_d2):
+        sqrt3 = QuadNumber(0, 1, 3)
+        zero = QuadComplex(0, 0)
+        with pytest.raises(RadicandMismatch):
+            compile_charge(rho1_d2, OmegaVector(zero, (QuadComplex(0, sqrt3),), zero))
+        with pytest.raises(DimensionError):
+            compile_charge(rho1_d2, OmegaVector(zero, (zero, zero), zero))
+        forms = compile_charge(rho1_d2, reference_omega(rho1_d2))
+        with pytest.raises(DimensionError):
+            forms.ints(MukaiVector(1, (0, 0), 1))
+
+
 class TestPositiveCone:
     def test_reference_inside(self, all_lattices):
         for lat in all_lattices:
@@ -172,6 +273,30 @@ class TestSphericalWallHits:
         assert spherical_wall_hits(
             rho1_d1, omega, box, jobs=3
         ) == spherical_wall_hits(rho1_d1, omega, box)
+
+    def test_float_mode_near_cancellation(self, rho1_d2):
+        # Z(v) = -v.r * (a + b sqrt(2)): the float nearest b*sqrt(2) is
+        # exactly -a, so the naive sum is 0.0 while the true value is not
+        b = -(10**16 + 1)
+        a = int(-b * math.sqrt(2))
+        assert a + b * math.sqrt(2) == 0.0
+        true_value = QuadNumber(a, b, 2)
+        assert 0.01 < abs(float(true_value.approx(64))) < 2
+        zero = QuadComplex(0, 0)
+        omega = OmegaVector(zero, (zero,), QuadComplex(true_value, 0))
+        box = SearchBox(1, 1, 3)
+        assert enumerate_spherical(rho1_d2, box)
+        assert spherical_wall_hits(rho1_d2, omega, box, mode="float") == []
+
+    def test_float_quad_is_accurate(self):
+        # Pell pairs a^2 - 2 b^2 = 1 make a - b sqrt(2) = 1 / (a + b sqrt(2))
+        a, b = 3, 2
+        for _ in range(20):
+            exact = 1 / (a + b * math.sqrt(2))
+            assert _float_quad(a, -b, 2) == pytest.approx(exact, rel=1e-14)
+            assert _float_quad(-a, b, 2) == pytest.approx(-exact, rel=1e-14)
+            assert _float_quad(a, b, 2) == pytest.approx(1 / exact, rel=1e-14)
+            a, b = 3 * a + 4 * b, 2 * a + 3 * b
 
     def test_bad_mode(self, rho1_d1):
         with pytest.raises(DomainError):
@@ -284,6 +409,36 @@ class TestSupportConstant:
         assert bound.ratio_sq == Fraction(36, 5)
         assert bound.witness.v == MukaiVector(-1, (-1,), -2)
         assert bound.value == pytest.approx((36 / 5) ** 0.5)
+
+    def test_ties_keep_first_enumerated(self, all_lattices):
+        # Z(-v) = -Z(v) and the norm is symmetric under negation, so every
+        # maximum is attained at least twice; the witness is the first
+        # maximiser enumerated
+        rng = random.Random(79)
+        for lat in all_lattices:
+            basis = self._basis(lat)
+            box = SearchBox(2, 2, 8)
+            for _ in range(4):
+                B = tuple(
+                    Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                    for _ in range(lat.rank)
+                )
+                p_q = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+                alpha = QuadNumber(0, p_q, lat.degree) if lat.degree == 2 else p_q
+                omega = omega_from_bw(lat, BWParams(B, alpha))
+                ratios = []
+                for cls in enumerate_spherical(lat, box):
+                    z = closed_form_Z(lat, B, alpha, cls)
+                    if not z.is_zero:
+                        n = spherical_norm(lat, basis, cls)
+                        ratio = QuadNumber(n * n, 0, lat.degree) / z.norm_square()
+                        ratios.append((ratio, cls))
+                top = max(ratio for ratio, _ in ratios)
+                maximisers = [cls for ratio, cls in ratios if ratio == top]
+                assert len(maximisers) >= 2
+                bound = support_constant(lat, basis, omega, box)
+                assert bound.ratio_sq == top
+                assert bound.witness == maximisers[0]
 
     def test_monotone_in_box(self, all_lattices):
         for lat in all_lattices:

@@ -14,7 +14,7 @@ from k3lax import (
 )
 from k3lax import cli
 from k3lax.cli import RunConfig, load_lattice, main, render_report, run
-from k3lax.errors import ConfigError
+from k3lax.errors import ConfigError, LatticeError
 
 LATTICE_DIR = Path(__file__).resolve().parents[1] / "lattices"
 R1D1 = str(LATTICE_DIR / "rho1_d1.json")
@@ -54,6 +54,23 @@ class TestLoadLattice:
         no_h = _write(tmp_path, "noh.json", '{"gram": [[2]]}')
         with pytest.raises(ConfigError):
             load_lattice(no_h)
+
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"gram": [[2, true], [true, -4]], "H": [1, 0]}',
+            '{"gram": [[2]], "H": [true]}',
+        ],
+        ids=["gram", "H"],
+    )
+    def test_json_booleans_rejected(self, tmp_path, capsys, text):
+        path = _write(tmp_path, "bool.json", text)
+        with pytest.raises(LatticeError):
+            load_lattice(path)
+        code = main(["pair", "--lattice", path, "--u", "1,0,1", "--v", "1,0,1"])
+        assert code == 2
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "LatticeError"
 
 
 class TestRun:
@@ -188,6 +205,24 @@ class TestRun:
                 )
             )
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"command": "pair", "u": (True, 0, 1), "v": (1, 0, 1)},
+            {"command": "pair", "u": (1, 0, 1), "v": (1, False, 1)},
+            {
+                "command": "walls",
+                "b_field": (Fraction(0),),
+                "delta": (1, 0, True),
+                "alpha_min": Fraction(1),
+            },
+        ],
+        ids=["u", "v", "delta"],
+    )
+    def test_boolean_vector_fields_rejected(self, fields):
+        with pytest.raises(ConfigError):
+            run(RunConfig(lattice_path=R1D1, **fields))
+
 
 class TestRender:
     def test_json_roundtrip(self):
@@ -264,6 +299,23 @@ class TestMain:
         )
         assert code == 3
         assert json.loads(out)["error"]["type"] == "DegenerateCharge"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enum", "--lattice", R1D1, "--box=-1,2,3"],
+            ["chamber", "--lattice", R1D1, "--B", "0", "--alpha", "0"],
+            [
+                "walls", "--lattice", R1D1,
+                "--B", "0", "--delta", "1,0,1", "--alpha-min", "-1",
+            ],
+        ],
+        ids=["negative-box", "zero-alpha", "negative-alpha-min"],
+    )
+    def test_out_of_range_flags_exit_2(self, capsys, argv):
+        code, out = self._capture(capsys, argv)
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "ConfigError"
 
     def test_argparse_rejects_unknown(self):
         with pytest.raises(SystemExit) as info:
@@ -368,3 +420,26 @@ class TestMassTableFlow:
             code = main(["reconstruct", "--lattice", R1D1, "--mass-table", path])
             capsys.readouterr()
             assert code == 2
+
+    @pytest.mark.parametrize(
+        "mode, text",
+        [
+            ("exact", '{"masses": [{"r": 1, "D": [0], "s": 1, "mass_sq": "abc"}]}'),
+            ("exact", '{"masses": [{"r": 1, "D": [0], "s": 1, "mass_sq": null}]}'),
+            ("exact", '{"masses": 5}'),
+            ("exact", '{"masses": [{"r": 1, "D": [0], "s": 1, "mass_sq": true}]}'),
+            ("exact", '{"masses": [{"r": true, "D": [0], "s": 1, "mass_sq": 1}]}'),
+            ("float", '{"masses": [{"r": 1, "D": [0], "s": 1, "mass_sq": NaN}]}'),
+            ("float", '{"masses": [{"r": 1, "D": [0], "s": 1, "mass_sq": "1e400"}]}'),
+        ],
+        ids=[
+            "mass-abc", "mass-null", "masses-int", "mass-bool", "r-bool",
+            "float-nan", "float-overflow",
+        ],
+    )
+    def test_bad_mass_values_exit_2(self, tmp_path, capsys, mode, text):
+        path = _write(tmp_path, "bad.json", text)
+        argv = ["reconstruct", "--lattice", R1D1, "--mass-table", path, "--mode", mode]
+        code = main(argv)
+        assert code == 2
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "ConfigError"
