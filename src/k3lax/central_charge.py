@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-import mpmath
-
 from .spherical_enum import SearchBox, enumerate_spherical
 from .errors import DimensionError, DomainError, EmptySupport, RadicandMismatch
 from .mukai_lattice import (
@@ -438,7 +436,7 @@ class SupportBound:
 
     @property
     def value(self) -> float:
-        return float(mpmath.sqrt(self.ratio_sq.approx(64)))
+        return math.sqrt(float(self.ratio_sq))
 
 
 def support_constant(

@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Every run is described by a RunConfig and produces a Report whose JSON
-rendering is byte-identical for identical configurations; parallelism
-(--jobs) is an execution knob and never appears in the output.  Exit
-codes: 0 success, 2 configuration problems, 3 mathematical-input
-problems, 4 violated internal invariants (including selftest failures).
+rendering is byte-identical for identical configurations.  --jobs is
+accepted and validated for compatibility, but every command runs in one
+thread and the value never appears in the output.  Exit codes: 0
+success, 2 configuration problems, 3 mathematical-input problems, 4
+violated internal invariants (including selftest failures).
 """
 
 from __future__ import annotations
@@ -789,6 +790,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    # argparse (Python 3.11 at least) parses a value of "--", as in --jobs=--,
+    # to an empty list instead of rejecting it
+    for name, value in vars(args).items():
+        if isinstance(value, list):
+            raise ConfigError(f"--{name.replace('_', '-')} needs a value")
     fields: dict = {
         "command": args.command,
         "lattice_path": getattr(args, "lattice", None),

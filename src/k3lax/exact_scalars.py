@@ -4,15 +4,14 @@ A number is stored as a pair of rationals (a, b) meaning a + b*sqrt(d) for a
 fixed positive integer radicand d.  Perfect-square radicands fold into the
 rational part at construction time, so a single code path serves both the
 rational and the genuinely quadratic case.  Every comparison is exact; no
-floating point enters unless `approx` is called.
+floating point enters unless `approx` is called, and `approx` returns the
+correctly rounded double, computed from integers.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-import mpmath
 
 from .errors import DomainError, RadicandMismatch
 
@@ -33,6 +32,35 @@ def sqrt_fraction(x: Fraction) -> Fraction | None:
     if num * num != x.numerator or den * den != x.denominator:
         return None
     return Fraction(num, den)
+
+
+def quad_to_float(a: Fraction, b: Fraction, d: int) -> float:
+    """The double nearest to a + b*sqrt(d), d not a perfect square.
+
+    With x = (A + B*sqrt(d)) / L over integers, isqrt brackets
+    B*sqrt(d)*2^k between consecutive integers, so x lies in a rational
+    interval of width 1 / (L*2^k).  Once both ends round to the same
+    double, so does x; otherwise k doubles.  An irrational x is never a
+    rounding midpoint, so the loop ends whenever b != 0.
+    """
+    if b == 0:
+        return float(a)
+    L = a.denominator * b.denominator // math.gcd(a.denominator, b.denominator)
+    A = a.numerator * (L // a.denominator)
+    B = b.numerator * (L // b.denominator)
+    k = 64
+    while True:
+        # floor(|B| sqrt(d) 2^k) < |B| sqrt(d) 2^k < floor(...) + 1
+        low = math.isqrt(B * B * d << (2 * k))
+        if B < 0:
+            low = -low - 1
+        num = (A << k) + low
+        scale = L << k
+        # int / int rounds correctly in CPython, whatever the sizes
+        nearest = num / scale
+        if nearest == (num + 1) / scale:
+            return nearest
+        k *= 2
 
 
 def quad_sign(a, b, d: int) -> int:
@@ -140,14 +168,16 @@ class QuadNumber:
         """Field conjugate a - b*sqrt(d)."""
         return QuadNumber(self._a, -self._b, self._d)
 
-    def approx(self, precision_bits: int = 64) -> mpmath.mpf:
-        """Floating approximation at the requested working precision."""
+    def approx(self, precision_bits: int = 64) -> float:
+        """The correctly rounded double nearest to this number.
+
+        precision_bits is the least working precision the caller asks
+        for; it must be at least 64, and any such request is met because
+        the result is exact up to the one final rounding.
+        """
         if precision_bits < 64:
             raise DomainError("precision_bits must be at least 64")
-        with mpmath.workprec(precision_bits + 8):
-            a = mpmath.mpf(self._a.numerator) / self._a.denominator
-            b = mpmath.mpf(self._b.numerator) / self._b.denominator
-            return a + b * mpmath.sqrt(self._d)
+        return quad_to_float(self._a, self._b, self._d)
 
     def __add__(self, other) -> QuadNumber:
         rhs = self._coerce(other)
@@ -251,7 +281,7 @@ class QuadNumber:
         return self._cmp(other) >= 0
 
     def __float__(self) -> float:
-        return float(self.approx(64))
+        return quad_to_float(self._a, self._b, self._d)
 
     def __repr__(self) -> str:
         return f"QuadNumber({self._a}, {self._b}, d={self._d})"
@@ -300,8 +330,8 @@ class QuadComplex:
     def norm_square(self) -> QuadNumber:
         return self._re * self._re + self._im * self._im
 
-    def approx(self, precision_bits: int = 64) -> mpmath.mpc:
-        return mpmath.mpc(
+    def approx(self, precision_bits: int = 64) -> complex:
+        return complex(
             self._re.approx(precision_bits), self._im.approx(precision_bits)
         )
 

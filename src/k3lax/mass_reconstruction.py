@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .central_charge import OmegaVector, compile_charge, in_P_plus, reference_omega
+from .central_charge import OmegaVector, compile_charge, in_P_plus
 from .spherical_enum import GoodBasis, companion_classes
 from .errors import (
     DegenerateCharge,
@@ -110,10 +110,18 @@ def _abs_exact(x: QuadNumber) -> QuadNumber:
     return x if x.sign() >= 0 else -x
 
 
-def _solve_omega_exact(
-    lat: NSLattice, basis: GoodBasis, values: list[QuadComplex]
-) -> OmegaVector:
-    n = lat.rank + 2
+def _query_masses(lat: NSLattice, basis: GoodBasis, oracle: MassOracle, exact: bool):
+    """Squared masses of the basis vectors and of their companions, lifted
+    to Q(sqrt(d)) in exact mode and made floats otherwise."""
+    d = lat.degree
+    lift = (lambda m: _lift(m, d)) if exact else float
+    masses = [lift(oracle.query(cls)) for cls in basis.vectors]
+    companions = companion_classes(lat, basis)
+    return masses, {key: lift(oracle.query(cls)) for key, cls in companions.items()}
+
+
+def _solve_omega(lat: NSLattice, basis: GoodBasis, values: list):
+    """Coordinates (r, D, s) of the omega with <omega, v_j> = values[j]."""
     unit = [MukaiVector(1, (0,) * lat.rank, 0)] + [
         MukaiVector(0, tuple(1 if k == i else 0 for k in range(lat.rank)), 0)
         for i in range(lat.rank)
@@ -122,7 +130,7 @@ def _solve_omega_exact(
         [mukai_pairing(lat, e, cls) for e in unit] for cls in basis.vectors
     ]
     x = solve_linear(rows, values)
-    return OmegaVector(x[0], tuple(x[1 : n - 1]), x[n - 1])
+    return x[0], tuple(x[1:-1]), x[-1]
 
 
 def _pair_float(lat: NSLattice, u, v) -> float:
@@ -144,35 +152,15 @@ def _in_P_plus_float(lat: NSLattice, omega: FloatOmega) -> bool:
     g22 = _pair_float(lat, im, im)
     if g11 <= 0 or g11 * g22 - g12 * g12 <= 0:
         return False
-    base = reference_omega(lat)
-    base_re = tuple(
-        float(x.approx(64)) for x in (base.r.re, *[c.re for c in base.D], base.s.re)
-    )
-    base_im = tuple(
-        float(x.approx(64)) for x in (base.r.im, *[c.im for c in base.D], base.s.im)
-    )
-    ref_re = (base_re[0], base_re[1:-1], base_re[-1])
-    ref_im = (base_im[0], base_im[1:-1], base_im[-1])
+    # the plane of exp(i*H), the orientation reference of `in_P_plus`:
+    # Re = (1, 0, -d) and Im = (0, H, 0), both integral
+    ref_re = (1, (0,) * lat.rank, -lat.degree)
+    ref_im = (0, lat.ample_class, 0)
     m11 = _pair_float(lat, re, ref_re)
     m12 = _pair_float(lat, re, ref_im)
     m21 = _pair_float(lat, im, ref_re)
     m22 = _pair_float(lat, im, ref_im)
     return m11 * m22 - m12 * m21 > 0
-
-
-def _solve_omega_float(
-    lat: NSLattice, basis: GoodBasis, values: list[complex]
-) -> FloatOmega:
-    n = lat.rank + 2
-    unit = [MukaiVector(1, (0,) * lat.rank, 0)] + [
-        MukaiVector(0, tuple(1 if k == i else 0 for k in range(lat.rank)), 0)
-        for i in range(lat.rank)
-    ] + [MukaiVector(0, (0,) * lat.rank, 1)]
-    rows = [
-        [mukai_pairing(lat, e, cls) for e in unit] for cls in basis.vectors
-    ]
-    x = solve_linear(rows, [complex(v) for v in values])
-    return FloatOmega(x[0], tuple(x[1 : n - 1]), x[n - 1])
 
 
 def reconstruct(
@@ -195,21 +183,12 @@ def reconstruct(
         tol = 0.0 if mode == "exact" else 1e-9
     if mode == "exact" and tol != 0.0:
         raise DomainError("exact mode runs at tolerance zero")
-    companions = companion_classes(lat, basis)
     n = len(basis.vectors)
-    d = lat.degree
+    masses, crosses_raw = _query_masses(lat, basis, oracle, mode == "exact")
     if mode == "exact":
-        masses = [_lift(oracle.query(cls), d) for cls in basis.vectors]
-        crosses_raw = {
-            key: _lift(oracle.query(cls), d) for key, cls in companions.items()
-        }
-        zero = QuadNumber(0, 0, d)
-        one = QuadNumber(1, 0, d)
+        zero = QuadNumber(0, 0, lat.degree)
+        one = QuadNumber(1, 0, lat.degree)
     else:
-        masses = [float(oracle.query(cls)) for cls in basis.vectors]
-        crosses_raw = {
-            key: float(oracle.query(cls)) for key, cls in companions.items()
-        }
         zero = 0.0
         one = 1.0
     for i, m in enumerate(masses):
@@ -288,13 +267,13 @@ def reconstruct(
 
     if mode == "exact":
         values = [QuadComplex(a[j], b[j]) for j in range(n)]
-        omega_plus = _solve_omega_exact(lat, basis, values)
+        omega_plus = OmegaVector(*_solve_omega(lat, basis, values))
         omega_minus = omega_plus.conjugate()
         plus_ok = in_P_plus(lat, omega_plus)
         minus_ok = in_P_plus(lat, omega_minus)
     else:
         values = [complex(a[j], b[j]) for j in range(n)]
-        omega_plus = _solve_omega_float(lat, basis, values)
+        omega_plus = FloatOmega(*_solve_omega(lat, basis, values))
         omega_minus = FloatOmega(
             omega_plus.r.conjugate(),
             tuple(c.conjugate() for c in omega_plus.D),
@@ -334,38 +313,25 @@ def residual(
     from the probed mass.  Zero on consistent exact data.
     """
     exact = isinstance(charge.omega, OmegaVector)
-    companions = companion_classes(lat, basis)
     n = len(basis.vectors)
-    if exact:
-        d = lat.degree
-        masses = [_lift(oracle.query(cls), d) for cls in basis.vectors]
-        crosses_raw = {
-            key: _lift(oracle.query(cls), d) for key, cls in companions.items()
-        }
-    else:
-        masses = [float(oracle.query(cls)) for cls in basis.vectors]
-        crosses_raw = {
-            key: float(oracle.query(cls)) for key, cls in companions.items()
-        }
+    masses, crosses_raw = _query_masses(lat, basis, oracle, exact)
     gauge = masses[0]
     if (gauge.sign() == 0) if exact else (gauge == 0.0):
         raise DegenerateCharge("gauge class is massless; cannot normalize")
     masses = [m / gauge for m in masses]
     crosses_raw = {k: m / gauge for k, m in crosses_raw.items()}
+    absolute = _abs_exact if exact else abs
     worst = masses[0] - masses[0]
     for i in range(n):
         a_i, b_i = charge.coefficients[i]
-        dev = _abs_exact(a_i * a_i + b_i * b_i - masses[i]) if exact else abs(
-            a_i * a_i + b_i * b_i - masses[i]
-        )
+        dev = absolute(a_i * a_i + b_i * b_i - masses[i])
         if dev > worst:
             worst = dev
         for j in range(i + 1, n):
             a_j, b_j = charge.coefficients[j]
             c = basis.pair_matrix[i][j]
             target = cross_terms(c, masses[i], masses[j], crosses_raw[(i, j)])
-            mixed = a_i * a_j + b_i * b_j - target
-            dev = _abs_exact(mixed) if exact else abs(mixed)
+            dev = absolute(a_i * a_j + b_i * b_j - target)
             if dev > worst:
                 worst = dev
     return worst

@@ -2,14 +2,12 @@
 
 All searches are box-relative: a statement like "the classes of slope mu"
 always means "within the given coordinate bounds".  Results come back in
-lexicographic order of (r, D, s), so runs are reproducible and parallel
-slicing cannot change the answer.
+lexicographic order of (r, D, s), so runs are reproducible.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -81,16 +79,16 @@ def enumerate_spherical(
 ) -> list[SphericalClass]:
     """Every spherical class inside the box, sorted lexicographically.
 
-    With jobs > 1 the rank slices run on a thread pool; slices are merged
-    in rank order, so the result is identical to the sequential one.
+    The rank slices run one after another in one thread, whatever `jobs`
+    says: it is accepted for compatibility only.  A thread pool over the
+    slices was slower at every measured size, because the loops hold the
+    GIL.
     """
-    ranks = range(-box.r_max, box.r_max + 1)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            slices = list(pool.map(lambda r: _spherical_slice(lat, box, r), ranks))
-    else:
-        slices = [_spherical_slice(lat, box, r) for r in ranks]
-    return [cls for chunk in slices for cls in chunk]
+    return [
+        cls
+        for r in range(-box.r_max, box.r_max + 1)
+        for cls in _spherical_slice(lat, box, r)
+    ]
 
 
 def delta_mu_plus(

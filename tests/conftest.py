@@ -1,9 +1,20 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from k3lax import MukaiVector, NSLattice, SearchBox, mukai_pairing
+from k3lax import (
+    BWParams,
+    MassOracle,
+    MukaiVector,
+    NSLattice,
+    SearchBox,
+    companion_classes,
+    good_basis,
+    mukai_pairing,
+    omega_from_bw,
+)
 
 
 @pytest.fixture
@@ -46,3 +57,18 @@ def brute_force_spherical(lat: NSLattice, box: SearchBox) -> set[MukaiVector]:
                 if mukai_pairing(lat, v, v) == -2:
                     out.add(v)
     return out
+
+
+def mass_table_entries() -> list[dict]:
+    """A consistent `--mass-table` for rho1_d1: the exact squared masses
+    of the good basis of box (8, 8, 40) and of its companions under the
+    charge B = 1/2, alpha = 3/2, as fraction strings."""
+    lat = NSLattice([[2]], [1], name="rho1-d1")
+    basis = good_basis(lat, SearchBox(8, 8, 40))
+    omega = omega_from_bw(lat, BWParams((Fraction(1, 2),), Fraction(3, 2)))
+    oracle = MassOracle.from_charge(lat, omega)
+    targets = list(basis.vectors) + list(companion_classes(lat, basis).values())
+    return [
+        {"r": c.v.r, "D": list(c.v.D), "s": c.v.s, "mass_sq": str(oracle.query(c).a)}
+        for c in targets
+    ]

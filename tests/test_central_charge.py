@@ -410,6 +410,20 @@ class TestSupportConstant:
         assert bound.witness.v == MukaiVector(-1, (-1,), -2)
         assert bound.value == pytest.approx((36 / 5) ** 0.5)
 
+    def test_value_is_faithful_on_irrational_ratio(self, rho1_d2):
+        # alpha in Q(sqrt 2) makes the ratio irrational; value must lie
+        # within one ulp of its exact square root
+        basis = self._basis(rho1_d2)
+        alpha = QuadNumber(1, Fraction(1, 3), 2)
+        omega = omega_from_bw(rho1_d2, BWParams((Fraction(1, 5),), alpha))
+        bound = support_constant(rho1_d2, basis, omega, SearchBox(2, 2, 8))
+        assert not bound.ratio_sq.is_rational
+        value = bound.value
+        below = Fraction(math.nextafter(value, 0.0))
+        above = Fraction(math.nextafter(value, math.inf))
+        assert bound.ratio_sq > below * below
+        assert bound.ratio_sq < above * above
+
     def test_ties_keep_first_enumerated(self, all_lattices):
         # Z(-v) = -Z(v) and the norm is symmetric under negation, so every
         # maximum is attained at least twice; the witness is the first

@@ -317,6 +317,14 @@ class TestMain:
         assert code == 2
         assert json.loads(out)["error"]["type"] == "ConfigError"
 
+    @pytest.mark.parametrize("flag", ["--box", "--jobs", "--u"])
+    def test_double_dash_value_exits_2(self, capsys, flag):
+        # argparse (Python 3.11 at least) parses --flag=-- to an empty list
+        argv = ["pair", "--lattice", R1D1, "--u", "1,0,1", "--v", "1,0,1", f"{flag}=--"]
+        code, out = self._capture(capsys, argv)
+        assert code == 2
+        assert json.loads(out)["error"]["message"] == f"{flag} needs a value"
+
     def test_argparse_rejects_unknown(self):
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from k3lax import (
     try_sqrt,
 )
 from k3lax.errors import DomainError, RadicandMismatch
+from k3lax.exact_scalars import quad_sign
 
 
 def q(a, b=0, d=2):
@@ -194,6 +196,73 @@ class TestApprox:
 
     def test_float_conversion(self):
         assert abs(float(q(1, 1)) - (1 + 2**0.5)) < 1e-15
+
+
+def _pell(x1, y1, d, n):
+    """The n-th power of the unit x1 + y1*sqrt(d), as integers (x, y)."""
+    x, y = 1, 0
+    for _ in range(n):
+        x, y = x * x1 + y * y1 * d, x * y1 + y * x1
+    return x, y
+
+
+class TestCorrectRounding:
+    """float(QuadNumber) is the double nearest to a + b*sqrt(d).
+
+    Checked exactly: a + b*sqrt(d) must lie strictly between the
+    midpoints from the result to its two neighbouring doubles, and each
+    comparison is an exact sign in Q(sqrt(d)).
+    """
+
+    @staticmethod
+    def assert_nearest(a, b, d):
+        got = float(QuadNumber(a, b, d))
+        assert math.isfinite(got)
+        for toward in (-math.inf, math.inf):
+            midpoint = (Fraction(got) + Fraction(math.nextafter(got, toward))) / 2
+            side = quad_sign(Fraction(a) - midpoint, b, d)
+            assert side == (1 if toward < 0 else -1), (a, b, d, got)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.fractions(max_denominator=10**6).filter(lambda x: abs(x) < 10**12),
+        st.fractions(max_denominator=10**6).filter(
+            lambda x: x != 0 and abs(x) < 10**12
+        ),
+        st.sampled_from([2, 3, 5, 7]),
+    )
+    def test_random_rationals(self, a, b, d):
+        self.assert_nearest(a, b, d)
+
+    @pytest.mark.parametrize(
+        "a, b, d",
+        [
+            (Fraction(577, 408), -1, 2),
+            (Fraction(7, 5), -1, 2),
+            (Fraction(17, 12), -1, 2),
+            (Fraction(-26, 15), 1, 3),
+            (Fraction(9, 4), -1, 5),
+            (Fraction(127, 48), -1, 7),
+        ],
+    )
+    def test_near_cancellation(self, a, b, d):
+        self.assert_nearest(a, b, d)
+
+    @pytest.mark.parametrize("n", [1, 5, 20, 60])
+    def test_units_close_to_zero(self, n):
+        # x - y*sqrt(d) = 1 / (x + y*sqrt(d)) for a unit: tiny, the two
+        # terms agreeing in about 2n*log2(x1 + y1*sqrt(d)) leading bits
+        for x1, y1, d in ((3, 2, 2), (2, 1, 3), (9, 4, 5), (8, 3, 7)):
+            x, y = _pell(x1, y1, d, n)
+            self.assert_nearest(x, -y, d)
+            # and a sum over large denominators
+            self.assert_nearest(Fraction(1, x), Fraction(1, y), d)
+
+    def test_rational_and_complex(self):
+        assert float(q(Fraction(1, 3))) == 1 / 3
+        z = QuadComplex(q(Fraction(7, 5), -1), q(0, 1))
+        assert complex(z) == complex(float(q(Fraction(7, 5), -1)), 2**0.5)
+        assert z.approx(64) == complex(z)
 
 
 class TestQuadComplex:
