@@ -120,6 +120,7 @@ LATTICE = st.one_of(
 
 
 GOOD_TABLE = mass_table_entries()
+GOOD_MASSES = {e["mass_sq"] for e in GOOD_TABLE}
 
 
 @st.composite
@@ -136,7 +137,7 @@ def mass_tables(draw):
             entries[i].pop(key, None)
         elif action == "drop-entry" and len(entries) > 1:
             entries.pop(i)
-        elif action == "float" and isinstance(entries[i].get("mass_sq"), str):
+        elif action == "float" and str(entries[i].get("mass_sq")) in GOOD_MASSES:
             entries[i]["mass_sq"] = float(Fraction(entries[i]["mass_sq"]))
     shape = draw(st.sampled_from(["object"] * 4 + ["list", "junk"]))
     if shape == "object":
