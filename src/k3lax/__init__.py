@@ -53,7 +53,6 @@ from .lax_boundary import (
     z_alpha0,
 )
 from .mass_reconstruction import (
-    FloatOmega,
     MassOracle,
     ReconstructedCharge,
     cross_terms,

@@ -52,11 +52,13 @@ class BWParams:
 
 @dataclass(frozen=True)
 class OmegaVector:
-    """Complexified Mukai vector of a charge, with exact components."""
+    """Complexified Mukai vector of a charge.  Components are exact, or
+    Python `complex` for a charge reconstructed in float mode; only
+    `compile_charge` and what is built on it need exact ones."""
 
-    r: QuadComplex
-    D: tuple[QuadComplex, ...]
-    s: QuadComplex
+    r: QuadComplex | complex
+    D: tuple[QuadComplex | complex, ...]
+    s: QuadComplex | complex
 
     def conjugate(self) -> OmegaVector:
         return OmegaVector(
@@ -65,11 +67,11 @@ class OmegaVector:
             self.s.conjugate(),
         )
 
-    def real_part(self) -> tuple[QuadNumber, tuple[QuadNumber, ...], QuadNumber]:
-        return (self.r.re, tuple(c.re for c in self.D), self.s.re)
+    def real_part(self) -> tuple:
+        return (self.r.real, tuple(c.real for c in self.D), self.s.real)
 
-    def imag_part(self) -> tuple[QuadNumber, tuple[QuadNumber, ...], QuadNumber]:
-        return (self.r.im, tuple(c.im for c in self.D), self.s.im)
+    def imag_part(self) -> tuple:
+        return (self.r.imag, tuple(c.imag for c in self.D), self.s.imag)
 
 
 def _normalize_alpha(lat: NSLattice, alpha) -> QuadNumber:
@@ -167,8 +169,11 @@ def compile_charge(lat: NSLattice, omega: OmegaVector) -> ChargeForms:
         raise DimensionError(
             f"charge has {len(omega.D)} divisor components, lattice rank is {lat.rank}"
         )
+    components = (omega.r, *omega.D, omega.s)
+    if not all(isinstance(z, QuadComplex) for z in components):
+        raise DomainError("only a charge with exact components compiles")
     d = lat.degree
-    parts = [x for z in (omega.r, *omega.D, omega.s) for x in (z.re, z.im)]
+    parts = [x for z in components for x in (z.re, z.im)]
     for x in parts:
         if x.b != 0 and x.d != d:
             raise RadicandMismatch(
@@ -227,16 +232,10 @@ def closed_form_Z(lat: NSLattice, B: Sequence[Fraction], alpha, v) -> QuadComple
     return QuadComplex(re, im)
 
 
-def _pair_real(lat: NSLattice, u, v) -> QuadNumber:
-    """Mukai pairing of two real vectors with QuadNumber coordinates."""
-    ur, uD, us = u
-    vr, vD, vs = v
-    acc = QuadNumber(0, 0, lat.degree)
-    for i, row in enumerate(lat.gram):
-        for j, g in enumerate(row):
-            if g != 0:
-                acc = acc + uD[i] * vD[j] * g
-    return acc - ur * vs - vr * us
+def _pair_real(lat: NSLattice, u, v):
+    """Mukai pairing of two real vectors with exact or float coordinates."""
+    (ur, uD, us), (vr, vD, vs) = u, v
+    return lat.dot(uD, vD) - ur * vs - vr * us
 
 
 def reference_omega(lat: NSLattice) -> OmegaVector:
@@ -248,29 +247,28 @@ def reference_omega(lat: NSLattice) -> OmegaVector:
 def in_P_plus(lat: NSLattice, omega: OmegaVector) -> bool:
     """Whether the real and imaginary parts span an oriented positive plane.
 
+    Components may be exact (decided exactly) or Python `complex`.
     Positivity is the positive definiteness of the 2x2 Gram matrix of
-    (Re, Im); the orientation is compared against exp(i*H) through the
-    determinant of the cross-pairing matrix, which is nonzero whenever
-    both planes are positive, and has constant sign on each connected
-    component of the positive cone.
+    (Re, Im); the orientation is compared against exp(i*H), the integral
+    plane Re = (1, 0, -d), Im = (0, H, 0), through the determinant of the
+    cross-pairing matrix, which is nonzero whenever both planes are
+    positive, and has constant sign on each connected component of the
+    positive cone.
     """
     re = omega.real_part()
     im = omega.imag_part()
     g11 = _pair_real(lat, re, re)
     g12 = _pair_real(lat, re, im)
     g22 = _pair_real(lat, im, im)
-    if g11.sign() <= 0:
+    if g11 <= 0 or g11 * g22 - g12 * g12 <= 0:
         return False
-    if (g11 * g22 - g12 * g12).sign() <= 0:
-        return False
-    base = reference_omega(lat)
-    base_re = base.real_part()
-    base_im = base.imag_part()
+    base_re = (1, (0,) * lat.rank, -lat.degree)
+    base_im = (0, lat.ample_class, 0)
     m11 = _pair_real(lat, re, base_re)
     m12 = _pair_real(lat, re, base_im)
     m21 = _pair_real(lat, im, base_re)
     m22 = _pair_real(lat, im, base_im)
-    return (m11 * m22 - m12 * m21).sign() > 0
+    return m11 * m22 - m12 * m21 > 0
 
 
 def _euclid_norm(v: MukaiVector) -> float:
@@ -295,7 +293,6 @@ def spherical_wall_hits(
     box: SearchBox,
     mode: str = "exact",
     tol: float = 1e-9,
-    jobs: int = 1,
 ) -> list[SphericalClass]:
     """Spherical classes in the box on which the charge vanishes.
 
@@ -308,7 +305,7 @@ def spherical_wall_hits(
     forms = compile_charge(lat, omega)
     L, d = forms.denom, forms.d
     hits = []
-    for cls in enumerate_spherical(lat, box, jobs=jobs):
+    for cls in enumerate_spherical(lat, box):
         ra, rb, ia, ib = forms.ints(cls.v)
         if not (ra or rb or ia or ib):
             hits.append(cls)

@@ -256,7 +256,7 @@ def _cmd_pair(lat: NSLattice, cfg: RunConfig):
 def _cmd_enum(lat: NSLattice, cfg: RunConfig):
     box = SearchBox(*cfg.box)
     if cfg.mu is not None:
-        classes, r0 = delta_mu_plus(lat, cfg.mu, box, jobs=cfg.jobs)
+        classes, r0 = delta_mu_plus(lat, cfg.mu, box)
         results = {
             "classes": [mukai_json(c) for c in classes],
             "count": len(classes),
@@ -264,7 +264,7 @@ def _cmd_enum(lat: NSLattice, cfg: RunConfig):
         }
         inputs = {"mu": fraction_str(cfg.mu)}
     else:
-        classes = enumerate_spherical(lat, box, jobs=cfg.jobs)
+        classes = enumerate_spherical(lat, box)
         results = {
             "classes": [mukai_json(c) for c in classes],
             "count": len(classes),
@@ -296,9 +296,7 @@ def _cmd_chamber(lat: NSLattice, cfg: RunConfig):
     b = _b_field(cfg, lat)
     omega = omega_from_bw(lat, BWParams(b, cfg.alpha))
     box = SearchBox(*cfg.box)
-    hits = spherical_wall_hits(
-        lat, omega, box, mode=cfg.mode, tol=cfg.tolerance, jobs=cfg.jobs
-    )
+    hits = spherical_wall_hits(lat, omega, box, mode=cfg.mode, tol=cfg.tolerance)
     results = {
         "in_p_plus": in_P_plus(lat, omega),
         "wall_hits": [mukai_json(c) for c in hits],
@@ -367,7 +365,8 @@ def _cmd_reconstruct(lat: NSLattice, cfg: RunConfig):
         }
     else:
         raise ConfigError("reconstruct needs --mass-table or both --B and --alpha")
-    charge = reconstruct(lat, basis, oracle, mode=cfg.mode, tol=None)
+    tol = cfg.tolerance if cfg.mode == "float" else None
+    charge = reconstruct(lat, basis, oracle, mode=cfg.mode, tol=tol)
     results = {
         "coefficients": [
             {"a": scalar_json(a), "b": scalar_json(b)} for a, b in charge.coefficients
@@ -677,6 +676,10 @@ def _execute(config: RunConfig):
         )
     if config.jobs < 1:
         raise ConfigError("--jobs must be at least 1")
+    if config.search_limit < 1:
+        raise ConfigError("--search-limit must be at least 1")
+    if not 0 < config.tolerance < math.inf:
+        raise ConfigError(f"--tol must be finite and positive, got {config.tolerance!r}")
     if len(config.box) != 3 or not all(_is_int(b) and b >= 0 for b in config.box):
         raise ConfigError(
             f"--box needs three nonnegative integers R,D,S, got {config.box!r}"
@@ -735,8 +738,16 @@ def render_report(report: Report, config: RunConfig, table=None) -> str:
     return render_csv(header, rows)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors are configuration errors, so
+    they exit 2 with the JSON error body like every other bad input."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="k3lax",
         description="Exact Mukai-lattice computations for stability charges "
         "on polarized K3 surfaces.",
@@ -828,10 +839,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        config = _config_from_args(args)
+        config = _config_from_args(_build_parser().parse_args(argv))
         report, table = _execute(config)
         sys.stdout.write(render_report(report, config, table))
     except K3LaxError as exc:

@@ -235,6 +235,9 @@ class QuadNumber:
     def __pos__(self) -> QuadNumber:
         return self
 
+    def __abs__(self) -> QuadNumber:
+        return self if self.sign() >= 0 else -self
+
     def __pow__(self, exponent: int) -> QuadNumber:
         if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
@@ -263,6 +266,8 @@ class QuadNumber:
         return hash((self._a, self._b, self._d))
 
     def _cmp(self, other) -> int:
+        if isinstance(other, _RATIONAL_TYPES):
+            return quad_sign(self._a - other, self._b, self._d)
         diff = self - other
         if not isinstance(diff, QuadNumber):
             raise TypeError(f"cannot compare QuadNumber with {type(other).__name__}")
@@ -319,6 +324,10 @@ class QuadComplex:
     @property
     def im(self) -> QuadNumber:
         return self._im
+
+    # the names of `complex`, so code reading parts serves both types
+    real = re
+    imag = im
 
     @property
     def is_zero(self) -> bool:

@@ -7,10 +7,17 @@ every a_j and every b_j^2, and the companion masses recover the mixed
 products a_i a_j + b_i b_j.  That determines the tuple (a, b) up to the
 overall conjugation (a, -b); the surviving ambiguity is resolved by
 insisting the charge lie in the oriented positive cone.
+
+Exact and float data take one path; the mode picks only the scalar
+policy: the lift of the masses (to Q(sqrt(d)) or float), the pivot square
+root, the complex type of the charge and the tolerance (0 or tol).  Every
+predicate compares against the tolerance, exactly on QuadNumber.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
@@ -25,7 +32,7 @@ from .errors import (
     InternalInvariantError,
     NoOrientation,
 )
-from .mukai_lattice import MukaiVector, NSLattice, SphericalClass, mukai_pairing
+from .mukai_lattice import MukaiVector, NSLattice, SphericalClass
 from .linalg import solve_linear
 from .exact_scalars import QuadComplex, QuadNumber, try_sqrt
 
@@ -70,15 +77,6 @@ def cross_terms(c_ij: object, m_i: object, m_j: object, m_ij: object):
 
 
 @dataclass(frozen=True)
-class FloatOmega:
-    """Float-mode counterpart of OmegaVector."""
-
-    r: complex
-    D: tuple[complex, ...]
-    s: complex
-
-
-@dataclass(frozen=True)
 class ReconstructedCharge:
     """Gauge-fixed charge values on the basis plus the solved vector.
 
@@ -91,7 +89,7 @@ class ReconstructedCharge:
     """
 
     coefficients: tuple[tuple[object, object], ...]
-    omega: OmegaVector | FloatOmega
+    omega: OmegaVector
     residual: object
     branch: str = "principal"
 
@@ -106,61 +104,58 @@ def _lift(value, d: int) -> QuadNumber:
     return QuadNumber(Fraction(value), 0, d)
 
 
-def _abs_exact(x: QuadNumber) -> QuadNumber:
-    return x if x.sign() >= 0 else -x
-
-
-def _query_masses(lat: NSLattice, basis: GoodBasis, oracle: MassOracle, exact: bool):
-    """Squared masses of the basis vectors and of their companions, lifted
-    to Q(sqrt(d)) in exact mode and made floats otherwise."""
+def _gauged_masses(lat: NSLattice, basis: GoodBasis, oracle: MassOracle, exact: bool, tol):
+    """The squared masses of the basis in the gauge M_1 = 1, lifted to
+    Q(sqrt(d)) or made floats, and cross(i, j) = Re(Z_i conj Z_j) from the
+    companion masses in that gauge."""
     d = lat.degree
     lift = (lambda m: _lift(m, d)) if exact else float
     masses = [lift(oracle.query(cls)) for cls in basis.vectors]
-    companions = companion_classes(lat, basis)
-    return masses, {key: lift(oracle.query(cls)) for key, cls in companions.items()}
+    companions = {
+        key: lift(oracle.query(cls))
+        for key, cls in companion_classes(lat, basis).items()
+    }
+    for i, m in enumerate(masses):
+        if m < 0:
+            raise InconsistentMasses(f"squared mass of basis vector {i} is negative")
+    gauge = masses[0]
+    if gauge <= tol:
+        raise DegenerateCharge("gauge class is massless; cannot normalize")
+    masses = [m / gauge for m in masses]
+    companions = {key: m / gauge for key, m in companions.items()}
+
+    def cross(i: int, j: int):
+        lo, hi = (i, j) if i < j else (j, i)
+        c = basis.pair_matrix[lo][hi]
+        return cross_terms(c, masses[lo], masses[hi], companions[(lo, hi)])
+
+    return masses, cross
+
+
+def _max_deviation(coefficients, masses: list, cross) -> object:
+    """Largest |a_i a_j + b_i b_j - target| over i <= j, where the target
+    is the gauged mass for i = j and the mixed term cross(i, j) otherwise."""
+    worst = abs(masses[0] - masses[0])
+    n = len(coefficients)
+    for i, (a_i, b_i) in enumerate(coefficients):
+        for j in range(i, n):
+            a_j, b_j = coefficients[j]
+            target = masses[i] if i == j else cross(i, j)
+            dev = abs(a_i * a_j + b_i * b_j - target)
+            if dev > worst:
+                worst = dev
+    return worst
 
 
 def _solve_omega(lat: NSLattice, basis: GoodBasis, values: list):
     """Coordinates (r, D, s) of the omega with <omega, v_j> = values[j]."""
-    unit = [MukaiVector(1, (0,) * lat.rank, 0)] + [
-        MukaiVector(0, tuple(1 if k == i else 0 for k in range(lat.rank)), 0)
-        for i in range(lat.rank)
-    ] + [MukaiVector(0, (0,) * lat.rank, 1)]
+    # <omega, v> = omega.D . G v.D - omega.r v.s - omega.s v.r
     rows = [
-        [mukai_pairing(lat, e, cls) for e in unit] for cls in basis.vectors
+        [-c.v.s, *(sum(map(operator.mul, row, c.v.D)) for row in lat.gram), -c.v.r]
+        for c in basis.vectors
     ]
     x = solve_linear(rows, values)
     return x[0], tuple(x[1:-1]), x[-1]
-
-
-def _pair_float(lat: NSLattice, u, v) -> float:
-    ur, uD, us = u
-    vr, vD, vs = v
-    acc = 0.0
-    for i, row in enumerate(lat.gram):
-        for j, g in enumerate(row):
-            if g != 0:
-                acc += uD[i] * vD[j] * g
-    return acc - ur * vs - vr * us
-
-
-def _in_P_plus_float(lat: NSLattice, omega: FloatOmega) -> bool:
-    re = (omega.r.real, tuple(c.real for c in omega.D), omega.s.real)
-    im = (omega.r.imag, tuple(c.imag for c in omega.D), omega.s.imag)
-    g11 = _pair_float(lat, re, re)
-    g12 = _pair_float(lat, re, im)
-    g22 = _pair_float(lat, im, im)
-    if g11 <= 0 or g11 * g22 - g12 * g12 <= 0:
-        return False
-    # the plane of exp(i*H), the orientation reference of `in_P_plus`:
-    # Re = (1, 0, -d) and Im = (0, H, 0), both integral
-    ref_re = (1, (0,) * lat.rank, -lat.degree)
-    ref_im = (0, lat.ample_class, 0)
-    m11 = _pair_float(lat, re, ref_re)
-    m12 = _pair_float(lat, re, ref_im)
-    m21 = _pair_float(lat, im, ref_re)
-    m22 = _pair_float(lat, im, ref_im)
-    return m11 * m22 - m12 * m21 > 0
 
 
 def reconstruct(
@@ -175,128 +170,64 @@ def reconstruct(
     Exact mode works in Q(sqrt(d)) with tolerance zero and raises
     ExactSqrtUnavailable if the pivot square root leaves the field (mass
     data of rational charges never does).  Float mode accepts IEEE input
-    and checks consistency up to tol (default 1e-9).
+    and checks consistency up to tol (default 1e-9), which must be finite
+    and positive; its charge has Python `complex` components.
     """
     if mode not in ("exact", "float"):
         raise DomainError(f"unknown mode {mode!r}")
-    if tol is None:
-        tol = 0.0 if mode == "exact" else 1e-9
-    if mode == "exact" and tol != 0.0:
-        raise DomainError("exact mode runs at tolerance zero")
-    n = len(basis.vectors)
-    masses, crosses_raw = _query_masses(lat, basis, oracle, mode == "exact")
-    if mode == "exact":
-        zero = QuadNumber(0, 0, lat.degree)
-        one = QuadNumber(1, 0, lat.degree)
+    exact = mode == "exact"
+    if exact:
+        if tol not in (None, 0):
+            raise DomainError("exact mode runs at tolerance zero")
+        tol, sqrt, make_complex, shown = 0, try_sqrt, QuadComplex, ""
     else:
-        zero = 0.0
-        one = 1.0
-    for i, m in enumerate(masses):
-        if (m.sign() if mode == "exact" else m) < 0:
-            raise InconsistentMasses(
-                f"squared mass of basis vector {i} is negative"
-            )
-    gauge = masses[0]
-    if (gauge.sign() == 0) if mode == "exact" else (gauge <= tol):
-        raise DegenerateCharge("gauge class is massless; cannot normalize")
-    masses = [m / gauge for m in masses]
-    crosses_raw = {k: m / gauge for k, m in crosses_raw.items()}
-
-    def cross(i: int, j: int):
-        lo, hi = (i, j) if i < j else (j, i)
-        c = basis.pair_matrix[lo][hi]
-        value = cross_terms(c, masses[lo], masses[hi], crosses_raw[(lo, hi)])
-        return value
-
-    a = [zero] * n
+        tol = 1e-9 if tol is None else tol
+        if not 0 < tol < math.inf:
+            raise DomainError(f"float mode needs a finite positive tol, got {tol}")
+        sqrt, make_complex, shown = (lambda x: x**0.5), complex, ".3e"
+    n = len(basis.vectors)
+    masses, cross = _gauged_masses(lat, basis, oracle, exact, tol)
+    one = masses[0]  # the gauge mass, exactly 1 after normalizing
+    zero = one - one
+    a = [one] + [cross(0, j) for j in range(1, n)]
     b = [zero] * n
-    a[0] = one
-    b_sq = [zero] * n
+    b_sq = [zero] + [masses[j] - a[j] * a[j] for j in range(1, n)]
     for j in range(1, n):
-        a[j] = cross(0, j)
-        b_sq[j] = masses[j] - a[j] * a[j]
-        negative = b_sq[j].sign() < 0 if mode == "exact" else b_sq[j] < -tol
-        if negative:
+        if b_sq[j] < -tol:
             raise InconsistentMasses(
                 f"squared imaginary part of coefficient {j} is negative"
             )
-    if mode == "exact":
-        degenerate = all(b_sq[j].sign() == 0 for j in range(1, n))
-    else:
-        degenerate = all(b_sq[j] <= tol for j in range(1, n))
-    if degenerate:
+    pivot = max(range(1, n), key=b_sq.__getitem__)
+    if b_sq[pivot] <= tol:
         raise DegenerateCharge("mass data is consistent with a real charge only")
-    pivot = 1
-    for j in range(2, n):
-        if b_sq[j] > b_sq[pivot]:
-            pivot = j
-    if mode == "exact":
-        root = try_sqrt(b_sq[pivot])
-        if root is None:
-            raise ExactSqrtUnavailable(
-                "pivot square root leaves Q(sqrt(d)); rerun in float mode"
-            )
-        b[pivot] = root
-    else:
-        b[pivot] = max(b_sq[pivot], 0.0) ** 0.5
+    b[pivot] = sqrt(b_sq[pivot])
+    if b[pivot] is None:
+        raise ExactSqrtUnavailable(
+            "pivot square root leaves Q(sqrt(d)); rerun in float mode"
+        )
     for j in range(1, n):
         if j != pivot:
             b[j] = (cross(pivot, j) - a[pivot] * a[j]) / b[pivot]
 
-    deviations = []
-    for i in range(n):
-        deviations.append(a[i] * a[i] + b[i] * b[i] - masses[i])
-        for j in range(i + 1, n):
-            deviations.append(a[i] * a[j] + b[i] * b[j] - cross(i, j))
-    if mode == "exact":
-        residual = zero
-        for dev in deviations:
-            dev = _abs_exact(dev)
-            if dev > residual:
-                residual = dev
-        if residual.sign() != 0:
-            raise InconsistentMasses(
-                f"mass data violates the pairing relations by {residual}"
-            )
-    else:
-        residual = max(abs(dev) for dev in deviations)
-        if residual > tol:
-            raise InconsistentMasses(
-                f"mass data violates the pairing relations by {residual:.3e}"
-            )
+    worst = _max_deviation(list(zip(a, b)), masses, cross)
+    if worst > tol:
+        raise InconsistentMasses(
+            f"mass data violates the pairing relations by {worst:{shown}}"
+        )
 
-    if mode == "exact":
-        values = [QuadComplex(a[j], b[j]) for j in range(n)]
-        omega_plus = OmegaVector(*_solve_omega(lat, basis, values))
-        omega_minus = omega_plus.conjugate()
-        plus_ok = in_P_plus(lat, omega_plus)
-        minus_ok = in_P_plus(lat, omega_minus)
-    else:
-        values = [complex(a[j], b[j]) for j in range(n)]
-        omega_plus = FloatOmega(*_solve_omega(lat, basis, values))
-        omega_minus = FloatOmega(
-            omega_plus.r.conjugate(),
-            tuple(c.conjugate() for c in omega_plus.D),
-            omega_plus.s.conjugate(),
-        )
-        plus_ok = _in_P_plus_float(lat, omega_plus)
-        minus_ok = _in_P_plus_float(lat, omega_minus)
+    values = [make_complex(a[j], b[j]) for j in range(n)]
+    omega_plus = OmegaVector(*_solve_omega(lat, basis, values))
+    omega_minus = omega_plus.conjugate()
+    plus_ok = in_P_plus(lat, omega_plus)
+    minus_ok = in_P_plus(lat, omega_minus)
     if plus_ok and minus_ok:
-        raise InternalInvariantError(
-            "both conjugate branches claim the positive cone"
-        )
-    if plus_ok:
-        chosen, sign = omega_plus, 1
-    elif minus_ok:
-        chosen, sign = omega_minus, -1
-    else:
+        raise InternalInvariantError("both conjugate branches claim the positive cone")
+    if not (plus_ok or minus_ok):
         raise NoOrientation("neither conjugate branch lies in the positive cone")
-    coeffs = tuple(
-        (a[j], b[j] if sign > 0 else -b[j]) for j in range(n)
-    )
-    return ReconstructedCharge(
-        coeffs, chosen, residual, "principal" if sign > 0 else "conjugate"
-    )
+    if plus_ok:
+        return ReconstructedCharge(tuple(zip(a, b)), omega_plus, worst, "principal")
+    b = [-x for x in b]
+    return ReconstructedCharge(tuple(zip(a, b)), omega_minus, worst, "conjugate")
 
 
 def residual(
@@ -312,26 +243,6 @@ def residual(
     a_i a_j + b_i b_j from the probed cross term and of a_i^2 + b_i^2
     from the probed mass.  Zero on consistent exact data.
     """
-    exact = isinstance(charge.omega, OmegaVector)
-    n = len(basis.vectors)
-    masses, crosses_raw = _query_masses(lat, basis, oracle, exact)
-    gauge = masses[0]
-    if (gauge.sign() == 0) if exact else (gauge == 0.0):
-        raise DegenerateCharge("gauge class is massless; cannot normalize")
-    masses = [m / gauge for m in masses]
-    crosses_raw = {k: m / gauge for k, m in crosses_raw.items()}
-    absolute = _abs_exact if exact else abs
-    worst = masses[0] - masses[0]
-    for i in range(n):
-        a_i, b_i = charge.coefficients[i]
-        dev = absolute(a_i * a_i + b_i * b_i - masses[i])
-        if dev > worst:
-            worst = dev
-        for j in range(i + 1, n):
-            a_j, b_j = charge.coefficients[j]
-            c = basis.pair_matrix[i][j]
-            target = cross_terms(c, masses[i], masses[j], crosses_raw[(i, j)])
-            dev = absolute(a_i * a_j + b_i * b_j - target)
-            if dev > worst:
-                worst = dev
-    return worst
+    exact = isinstance(charge.omega.r, QuadComplex)
+    masses, cross = _gauged_masses(lat, basis, oracle, exact, 0)
+    return _max_deviation(charge.coefficients, masses, cross)

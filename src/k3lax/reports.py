@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .central_charge import OmegaVector
 from .mukai_lattice import MukaiVector, SphericalClass
 from .exact_scalars import QuadComplex, QuadNumber
 
@@ -27,14 +26,10 @@ def quad_json(x: QuadNumber) -> dict:
     return {"a": fraction_str(x.a), "b": fraction_str(x.b), "d": x.d}
 
 
-def quad_complex_json(z: QuadComplex) -> dict:
-    return {"re": quad_json(z.re), "im": quad_json(z.im)}
-
-
 def scalar_json(x):
     """Render any numeric value the package hands around."""
     if isinstance(x, QuadComplex):
-        return quad_complex_json(x)
+        return {"re": quad_json(x.re), "im": quad_json(x.im)}
     if isinstance(x, QuadNumber):
         return quad_json(x)
     if isinstance(x, (Fraction, int)):
@@ -53,13 +48,6 @@ def mukai_json(v: MukaiVector | SphericalClass) -> dict:
 
 
 def omega_json(omega) -> dict:
-    if isinstance(omega, OmegaVector):
-        return {
-            "r": quad_complex_json(omega.r),
-            "D": [quad_complex_json(c) for c in omega.D],
-            "s": quad_complex_json(omega.s),
-        }
-    # float-mode counterpart with complex entries
     return {
         "r": scalar_json(omega.r),
         "D": [scalar_json(c) for c in omega.D],

@@ -74,15 +74,12 @@ def _spherical_slice(lat: NSLattice, box: SearchBox, r: int) -> list[SphericalCl
     return out
 
 
-def enumerate_spherical(
-    lat: NSLattice, box: SearchBox, jobs: int = 1
-) -> list[SphericalClass]:
+def enumerate_spherical(lat: NSLattice, box: SearchBox) -> list[SphericalClass]:
     """Every spherical class inside the box, sorted lexicographically.
 
-    The rank slices run one after another in one thread, whatever `jobs`
-    says: it is accepted for compatibility only.  A thread pool over the
-    slices was slower at every measured size, because the loops hold the
-    GIL.
+    The rank slices run one after another in one thread.  A thread pool
+    over the slices was slower at every measured size, because the loops
+    hold the GIL.
     """
     return [
         cls
@@ -92,14 +89,14 @@ def enumerate_spherical(
 
 
 def delta_mu_plus(
-    lat: NSLattice, mu: Fraction, box: SearchBox, jobs: int = 1
+    lat: NSLattice, mu: Fraction, box: SearchBox
 ) -> tuple[list[SphericalClass], int | None]:
     """Positive-rank spherical classes of slope mu in the box, plus the
     minimal rank among them (None when the set is empty)."""
     mu = Fraction(mu)
     found = [
         cls
-        for cls in enumerate_spherical(lat, box, jobs=jobs)
+        for cls in enumerate_spherical(lat, box)
         if cls.v.r > 0 and Fraction(lat.dot_ample(cls.v.D), cls.v.r) == mu
     ]
     r0 = min((cls.v.r for cls in found), default=None)

@@ -33,6 +33,13 @@ from k3lax.central_charge import _float_quad
 from k3lax.errors import DimensionError, DomainError, EmptySupport, RadicandMismatch
 
 
+def _complex_image(omega):
+    """The same charge with Python complex components, as float mode has."""
+    return OmegaVector(
+        complex(omega.r), tuple(complex(c) for c in omega.D), complex(omega.s)
+    )
+
+
 def _rational_invariants(lat, B, v):
     """I_v and c_v recomputed from scratch, Fractions only."""
     i_v = Fraction(lat.dot_ample(v.D)) - v.r * Fraction(lat.dot_ample(B))
@@ -211,6 +218,8 @@ class TestCompileCharge:
             compile_charge(rho1_d2, OmegaVector(zero, (QuadComplex(0, sqrt3),), zero))
         with pytest.raises(DimensionError):
             compile_charge(rho1_d2, OmegaVector(zero, (zero, zero), zero))
+        with pytest.raises(DomainError):
+            compile_charge(rho1_d2, _complex_image(reference_omega(rho1_d2)))
         forms = compile_charge(rho1_d2, reference_omega(rho1_d2))
         with pytest.raises(DimensionError):
             forms.ints(MukaiVector(1, (0, 0), 1))
@@ -230,11 +239,15 @@ class TestPositiveCone:
                     for _ in range(lat.rank)
                 )
                 alpha = Fraction(rng.randint(1, 6), rng.randint(1, 3))
-                assert in_P_plus(lat, omega_from_bw(lat, BWParams(B, alpha)))
+                omega = omega_from_bw(lat, BWParams(B, alpha))
+                assert in_P_plus(lat, omega)
+                assert in_P_plus(lat, _complex_image(omega))
 
     def test_conjugate_outside(self, all_lattices):
         for lat in all_lattices:
-            assert not in_P_plus(lat, reference_omega(lat).conjugate())
+            conjugate = reference_omega(lat).conjugate()
+            assert not in_P_plus(lat, conjugate)
+            assert not in_P_plus(lat, _complex_image(conjugate))
 
     def test_degenerate_outside(self, rho1_d1):
         one = QuadNumber(1)
@@ -266,13 +279,6 @@ class TestSphericalWallHits:
         exact = spherical_wall_hits(rho1_d1, omega, box, mode="exact")
         loose = spherical_wall_hits(rho1_d1, omega, box, mode="float", tol=1e-9)
         assert exact == loose
-
-    def test_jobs_invariance(self, rho1_d1):
-        omega = omega_from_bw(rho1_d1, BWParams((Fraction(0),), 1))
-        box = SearchBox(4, 4, 20)
-        assert spherical_wall_hits(
-            rho1_d1, omega, box, jobs=3
-        ) == spherical_wall_hits(rho1_d1, omega, box)
 
     def test_float_mode_near_cancellation(self, rho1_d2):
         # Z(v) = -v.r * (a + b sqrt(2)): the float nearest b*sqrt(2) is

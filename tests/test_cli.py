@@ -325,13 +325,55 @@ class TestMain:
         assert code == 2
         assert json.loads(out)["error"]["message"] == f"{flag} needs a value"
 
-    def test_argparse_rejects_unknown(self):
+    def test_argparse_rejects_unknown(self, capsys):
+        for argv in (["frobnicate"], ["lax", "--lattice", R1D1]):
+            code, out = self._capture(capsys, argv)
+            assert code == 2, argv
+            assert json.loads(out)["error"]["type"] == "ConfigError"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["enum", "--lattice", R1D1, "--mode", "bogus"], "--mode: invalid choice"),
+            (["enum", "--lattice", R1D1, "--seed", "x"], "--seed: invalid int value"),
+            (["pair", "--lattice", R1D1, "--v", "1,0,1"], "required: --u"),
+        ],
+        ids=["bad-choice", "bad-int", "missing-required"],
+    )
+    def test_usage_errors_have_json_body(self, capsys, argv, message):
+        code, out = self._capture(capsys, argv)
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "ConfigError"
+        assert message in error["message"]
+
+    def test_help_still_exits_0(self, capsys):
         with pytest.raises(SystemExit) as info:
-            main(["frobnicate"])
-        assert info.value.code == 2
-        with pytest.raises(SystemExit) as info:
-            main(["lax", "--lattice", R1D1])
-        assert info.value.code == 2
+            main(["pair", "--help"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage:")
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf", "0"])
+    def test_bad_tolerance_exits_2(self, capsys, tol):
+        argv = [
+            "reconstruct", "--lattice", R1D1, "--B", "1/2", "--alpha", "3/2",
+            "--mode", "float", f"--tol={tol}",
+        ]
+        code, out = self._capture(capsys, argv)
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "ConfigError"
+        assert "--tol" in error["message"]
+
+    @pytest.mark.parametrize("limit", ["-1", "0"])
+    def test_search_limit_below_one_exits_2(self, capsys, limit):
+        argv = ["separate", "--lattice", R1D1, "--mu", "0", f"--search-limit={limit}"]
+        code, out = self._capture(capsys, argv)
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "type": "ConfigError",
+            "message": "--search-limit must be at least 1",
+        }
 
     def test_selftest_failure_exits_4(self, capsys, monkeypatch):
         def broken(seed):
@@ -421,6 +463,22 @@ class TestMassTableFlow:
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
         assert float(payload["results"]["residual"]) <= 1e-9
+
+    def test_tolerance_reaches_float_reconstruction(self, tmp_path, capsys):
+        # a bump of 1e-3 in one companion mass leaves a residual near 1.4e-5
+        payload = self._table_payload(as_float=True)
+        payload["masses"][-1]["mass_sq"] += 1e-3
+        path = _write(tmp_path, "masses.json", json.dumps(payload))
+        argv = ["reconstruct", "--lattice", R1D1, "--mass-table", path, "--mode", "float"]
+        code = main(argv)
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert code == 3
+        assert error["type"] == "InconsistentMasses"
+        code = main(argv + ["--tol", "1e-3"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert 1e-9 < float(report["results"]["residual"]) < 1e-3
+        assert float(report["inputs"]["tolerance"]) == 1e-3
 
     def test_malformed_tables(self, tmp_path, capsys):
         for text in ("{}", '{"masses": [{"r": 1}]}', "not json"):

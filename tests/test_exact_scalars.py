@@ -138,6 +138,14 @@ class TestComparison:
         assert q(0, 1) < Fraction(3, 2)
         assert Fraction(3, 2) > q(0, 1)
 
+    def test_abs_and_tolerance_comparisons(self):
+        # 577/408 - sqrt(2) is about 2.1e-6: a comparison against a rational
+        # tolerance must see the cancellation exactly
+        x = q(Fraction(577, 408), -1)
+        assert x > 0 and -x < 0
+        assert x <= Fraction(1, 400000) and not x <= Fraction(1, 500000)
+        assert abs(x) == x and abs(-x) == x and abs(q(0)) == 0
+
     def test_hash_consistent_with_rational_equality(self):
         assert hash(q(Fraction(5, 6))) == hash(Fraction(5, 6))
         assert len({q(Fraction(1, 2)), Fraction(1, 2)}) == 1

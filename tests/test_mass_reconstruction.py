@@ -172,6 +172,22 @@ class TestFloatMode:
         with pytest.raises(DomainError):
             reconstruct(rho1_d1, basis1, oracle, mode="exact", tol=1e-12)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf")])
+    def test_float_tolerance_finite_positive(self, rho1_d1, basis1, tol):
+        oracle = MassOracle.from_table({})
+        with pytest.raises(DomainError):
+            reconstruct(rho1_d1, basis1, oracle, mode="float", tol=tol)
+
+    def test_charge_has_complex_components(self, rho1_d1, basis1):
+        omega = omega_from_bw(rho1_d1, BWParams((Fraction(1, 2),), Fraction(3, 2)))
+        rec = reconstruct(
+            rho1_d1, basis1, MassOracle.from_charge(rho1_d1, omega), mode="float"
+        )
+        parts = (rec.omega.r, *rec.omega.D, rec.omega.s)
+        assert all(type(z) is complex for z in parts)
+        assert in_P_plus(rho1_d1, rec.omega)
+        assert not in_P_plus(rho1_d1, rec.omega.conjugate())
+
 
 class TestFailureModes:
     def test_massless_gauge(self, rho1_d1, basis1):
@@ -270,6 +286,21 @@ class TestResidualProbe:
         oracle = MassOracle.from_charge(rho1_d1, omega)
         rec = reconstruct(rho1_d1, basis1, oracle, mode="float")
         assert residual(rho1_d1, basis1, oracle, rec) <= 1e-9
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_invalid_probe_masses(self, rho1_d1, basis1, mode):
+        omega = omega_from_bw(rho1_d1, BWParams((Fraction(1, 2),), Fraction(3, 2)))
+        oracle = MassOracle.from_charge(rho1_d1, omega)
+        rec = reconstruct(rho1_d1, basis1, oracle, mode=mode)
+        table = _full_table(rho1_d1, basis1, oracle)
+        negative = dict(table)
+        negative[basis1.vectors[1].v] = Fraction(-1)
+        with pytest.raises(InconsistentMasses):
+            residual(rho1_d1, basis1, MassOracle.from_table(negative), rec)
+        massless = dict(table)
+        massless[basis1.vectors[0].v] = Fraction(0)
+        with pytest.raises(DegenerateCharge):
+            residual(rho1_d1, basis1, MassOracle.from_table(massless), rec)
 
     def test_degenerate_gauge(self, rho1_d1, basis1):
         omega = omega_from_bw(rho1_d1, BWParams((Fraction(1, 2),), Fraction(3, 2)))

@@ -71,13 +71,6 @@ class TestEnumerateSpherical:
         assert len(found) == 20
         assert all(cls.v.r == 0 and abs(cls.v.D[0]) == 1 for cls in found)
 
-    def test_jobs_invariance(self, all_lattices):
-        box = SearchBox(3, 2, 10)
-        for lat in all_lattices:
-            assert enumerate_spherical(lat, box, jobs=3) == enumerate_spherical(
-                lat, box
-            )
-
 
 class TestDeltaMuPlus:
     def test_slope_zero(self, rho1_d1):
