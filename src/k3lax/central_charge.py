@@ -32,6 +32,8 @@ from .mukai_lattice import (
     NSLattice,
     SphericalClass,
     SphericalNormBasis,
+    as_vector,
+    pairing_functional,
     spherical_norm,
 )
 from .exact_scalars import QuadComplex, QuadNumber, quad_sign, try_sqrt
@@ -185,11 +187,9 @@ def compile_charge(lat: NSLattice, omega: OmegaVector) -> ChargeForms:
         return q.numerator * (L // q.denominator)
 
     def form(part) -> tuple[int, ...]:
-        # part picks one rational part of a component; G is symmetric, so
-        # the coefficient of v.D_j is row j of G dotted with L * omega.D
+        # part picks one rational part of a component
         w_D = [scaled(part(z)) for z in omega.D]
-        d_coeffs = (sum(map(operator.mul, row, w_D)) for row in lat.gram)
-        return (-scaled(part(omega.s)), *d_coeffs, -scaled(part(omega.r)))
+        return pairing_functional(lat, scaled(part(omega.r)), w_D, scaled(part(omega.s)))
 
     return ChargeForms(
         L,
@@ -218,7 +218,7 @@ def closed_form_Z(lat: NSLattice, B: Sequence[Fraction], alpha, v) -> QuadComple
 
     Kept separate from `eval_Z` so the two can cross-check each other.
     """
-    v = v.v if isinstance(v, SphericalClass) else v
+    v = as_vector(v)
     if len(B) != lat.rank:
         raise DimensionError(f"B has length {len(B)}, lattice rank is {lat.rank}")
     alpha = _normalize_alpha(lat, alpha)
@@ -355,7 +355,7 @@ def wall_scan_alpha(
     The loop below runs in scaled integer arithmetic: with q clearing the
     denominators of B, the quantities q*I_v and 2*q^2*c_v are integers.
     """
-    delta_v = delta.v if isinstance(delta, SphericalClass) else delta
+    delta_v = as_vector(delta)
     B = tuple(Fraction(c) for c in b_field)
     if len(B) != lat.rank:
         raise DimensionError(f"B has length {len(B)}, lattice rank is {lat.rank}")
@@ -364,9 +364,7 @@ def wall_scan_alpha(
     if alpha_min.sign() <= 0:
         raise DomainError("alpha_min must be positive")
     d = lat.degree
-    q = 1
-    for c in B:
-        q = q * c.denominator // math.gcd(q, c.denominator)
+    q = math.lcm(*(c.denominator for c in B))
     P = tuple(int(c * q) for c in B)  # q * B, integral
     H = lat.ample_class
     ph = lat.dot(P, H)

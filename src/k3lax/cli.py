@@ -149,10 +149,14 @@ def _parse_ints(text: str, label: str) -> tuple[int, ...]:
         raise ConfigError(f"{label} must be comma-separated integers, got {text!r}")
 
 
-def _parse_box(text: str) -> tuple[int, int, int]:
-    parts = _parse_ints(text, "--box")
+def _parse_fractions(text: str, label: str) -> tuple[Fraction, ...]:
+    return tuple(_parse_fraction(part, f"{label} entry") for part in text.split(","))
+
+
+def _parse_box(text: str, label: str) -> tuple[int, int, int]:
+    parts = _parse_ints(text, label)
     if len(parts) != 3:
-        raise ConfigError(f"--box needs three bounds R,D,S, got {text!r}")
+        raise ConfigError(f"{label} needs three bounds R,D,S, got {text!r}")
     return parts  # type: ignore[return-value]
 
 
@@ -332,7 +336,7 @@ def _cmd_walls(lat: NSLattice, cfg: RunConfig):
     results = {
         "base": {
             "B": [fraction_str(c) for c in b],
-            "delta": mukai_json(delta.v if hasattr(delta, "v") else delta),
+            "delta": mukai_json(delta),
             "alpha_min": scalar_json(alpha_min),
         },
         "hits": [
@@ -738,6 +742,16 @@ def render_report(report: Report, config: RunConfig, table=None) -> str:
     return render_csv(header, rows)
 
 
+class _Value(argparse.Action):
+    """Stores an option's value.  argparse (Python 3.11 at least) parses a
+    value of "--", as in --jobs=--, to an empty list instead of rejecting it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if values == []:
+            raise ConfigError(f"{option_string} needs a value")
+        setattr(namespace, self.dest, values)
+
+
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose usage errors are configuration errors, so
     they exit 2 with the JSON error body like every other bad input."""
@@ -747,6 +761,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """Each option stores its parsed value under its RunConfig field name;
+    no option has a default, so RunConfig holds every default."""
     parser = _Parser(
         prog="k3lax",
         description="Exact Mukai-lattice computations for stability charges "
@@ -754,93 +770,65 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def option(p, flag, parse=None, **kwargs):
+        if parse is not None:
+            kwargs["type"] = lambda text: parse(text, flag)
+        if "dest" in kwargs and "choices" not in kwargs:
+            # --help shows the metavar argparse derives from the flag
+            kwargs["metavar"] = flag[2:].upper()
+        p.add_argument(flag, action=_Value, **kwargs)
+
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--lattice", help="path to a lattice JSON file")
-    common.add_argument("--box", default="8,8,40", help="search bounds R,D,S")
-    common.add_argument("--mode", default="exact", choices=("exact", "float"))
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--out", default="json", choices=("json", "csv"))
-    common.add_argument("--tol", type=float, default=1e-9)
-    common.add_argument("--jobs", type=int, default=1)
+    option(common, "--lattice", dest="lattice_path", help="path to a lattice JSON file")
+    option(common, "--box", _parse_box, help="search bounds R,D,S")
+    option(common, "--mode", choices=("exact", "float"))
+    option(common, "--seed", type=int)
+    option(common, "--out", dest="output", choices=("json", "csv"))
+    option(common, "--tol", dest="tolerance", type=float)
+    option(common, "--jobs", type=int)
 
     p = sub.add_parser("pair", parents=[common], help="Mukai pairing of two vectors")
-    p.add_argument("--u", required=True, help="vector r,D...,s")
-    p.add_argument("--v", required=True, help="vector r,D...,s")
+    option(p, "--u", _parse_ints, required=True, help="vector r,D...,s")
+    option(p, "--v", _parse_ints, required=True, help="vector r,D...,s")
 
     p = sub.add_parser("enum", parents=[common], help="spherical classes in a box")
-    p.add_argument("--mu", help="restrict to positive-rank classes of this slope")
+    option(p, "--mu", _parse_fraction, help="restrict to positive-rank classes of this slope")
 
     sub.add_parser("basis", parents=[common], help="good spherical basis and companions")
 
     p = sub.add_parser("chamber", parents=[common], help="positivity and wall hits of a charge")
-    p.add_argument("--B", required=True, help="B-field entries p/q,...")
-    p.add_argument("--alpha", required=True, help="scale alpha as p/q")
+    option(p, "--B", _parse_fractions, dest="b_field", required=True, help="B-field entries p/q,...")
+    option(p, "--alpha", _parse_fraction, required=True, help="scale alpha as p/q")
 
     p = sub.add_parser("walls", parents=[common], help="alignment parameters above a base scale")
-    p.add_argument("--mu", help="use the boundary data of this slope")
-    p.add_argument("--B", help="B-field entries p/q,...")
-    p.add_argument("--delta", help="reference spherical vector r,D...,s")
-    p.add_argument("--alpha-min", dest="alpha_min", help="report roots above this")
+    option(p, "--mu", _parse_fraction, help="use the boundary data of this slope")
+    option(p, "--B", _parse_fractions, dest="b_field", help="B-field entries p/q,...")
+    option(p, "--delta", _parse_ints, help="reference spherical vector r,D...,s")
+    option(p, "--alpha-min", _parse_fraction, help="report roots above this")
 
     p = sub.add_parser("reconstruct", parents=[common], help="charge from squared masses")
-    p.add_argument("--B", help="hidden charge B-field p/q,...")
-    p.add_argument("--alpha", help="hidden charge alpha p/q")
-    p.add_argument("--mass-table", dest="mass_table", help="JSON file of squared masses")
+    option(p, "--B", _parse_fractions, dest="b_field", help="hidden charge B-field p/q,...")
+    option(p, "--alpha", _parse_fraction, help="hidden charge alpha p/q")
+    option(p, "--mass-table", help="JSON file of squared masses")
 
     p = sub.add_parser("lax", parents=[common], help="boundary charge and its mass family")
-    p.add_argument("--mu", required=True, help="slope of the boundary class")
-    p.add_argument("--l-min", dest="l_min", type=int, default=-5)
-    p.add_argument("--l-max", dest="l_max", type=int, default=5)
+    option(p, "--mu", _parse_fraction, required=True, help="slope of the boundary class")
+    option(p, "--l-min", type=int)
+    option(p, "--l-max", type=int)
 
     p = sub.add_parser("separate", parents=[common], help="irrationality separation report")
-    p.add_argument("--mu", required=True, help="slope of the boundary class")
-    p.add_argument("--search-limit", dest="search_limit", type=int, default=10**6)
+    option(p, "--mu", _parse_fraction, required=True, help="slope of the boundary class")
+    option(p, "--search-limit", type=int)
 
     sub.add_parser("selftest", parents=[common], help="run the built-in invariant suite")
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    # argparse (Python 3.11 at least) parses a value of "--", as in --jobs=--,
-    # to an empty list instead of rejecting it
-    for name, value in vars(args).items():
-        if isinstance(value, list):
-            raise ConfigError(f"--{name.replace('_', '-')} needs a value")
-    fields: dict = {
-        "command": args.command,
-        "lattice_path": getattr(args, "lattice", None),
-        "box": _parse_box(args.box),
-        "mode": args.mode,
-        "seed": args.seed,
-        "output": args.out,
-        "tolerance": args.tol,
-        "jobs": args.jobs,
-    }
-    if getattr(args, "mu", None) is not None:
-        fields["mu"] = _parse_fraction(args.mu, "--mu")
-    if getattr(args, "u", None) is not None:
-        fields["u"] = _parse_ints(args.u, "--u")
-    if getattr(args, "v", None) is not None:
-        fields["v"] = _parse_ints(args.v, "--v")
-    if getattr(args, "B", None) is not None:
-        fields["b_field"] = tuple(
-            _parse_fraction(part, "--B entry") for part in args.B.split(",")
-        )
-    if getattr(args, "alpha", None) is not None:
-        fields["alpha"] = _parse_fraction(args.alpha, "--alpha")
-    if getattr(args, "delta", None) is not None:
-        fields["delta"] = _parse_ints(args.delta, "--delta")
-    if getattr(args, "alpha_min", None) is not None:
-        fields["alpha_min"] = _parse_fraction(args.alpha_min, "--alpha-min")
-    for name in ("l_min", "l_max", "mass_table", "search_limit"):
-        if getattr(args, name, None) is not None:
-            fields[name] = getattr(args, name)
-    return RunConfig(**fields)
-
-
 def main(argv: list[str] | None = None) -> int:
     try:
-        config = _config_from_args(_build_parser().parse_args(argv))
+        args = vars(_build_parser().parse_args(argv))
+        config = RunConfig(**{k: v for k, v in args.items() if v is not None})
         report, table = _execute(config)
         sys.stdout.write(render_report(report, config, table))
     except K3LaxError as exc:

@@ -45,7 +45,7 @@ def quad_to_float(a: Fraction, b: Fraction, d: int) -> float:
     """
     if b == 0:
         return float(a)
-    L = a.denominator * b.denominator // math.gcd(a.denominator, b.denominator)
+    L = math.lcm(a.denominator, b.denominator)
     A = a.numerator * (L // a.denominator)
     B = b.numerator * (L // b.denominator)
     k = 64
@@ -122,10 +122,6 @@ class QuadNumber:
     @property
     def d(self) -> int:
         return self._d
-
-    @classmethod
-    def from_rational(cls, value: Fraction | int, d: int = 1) -> QuadNumber:
-        return cls(Fraction(value), Fraction(0), d)
 
     @classmethod
     def sqrt_radicand(cls, d: int) -> QuadNumber:

@@ -28,6 +28,7 @@ from .errors import (
 from .mukai_lattice import (
     NSLattice,
     SphericalClass,
+    as_vector,
     mukai_pairing,
     tensor_line_bundle,
 )
@@ -113,7 +114,7 @@ def z_alpha0(lp: LaxPoint, v) -> QuadComplex:
     r0^2*sqrt(d) must always land in Z; a failure means the arithmetic
     is broken, so it raises immediately.
     """
-    v = v.v if isinstance(v, SphericalClass) else v
+    v = as_vector(v)
     z = closed_form_Z(lp.lattice, lp.b0, lp.alpha0, v)
     r0_sq = lp.r0 * lp.r0
     re_scaled = z.re * r0_sq
@@ -160,8 +161,6 @@ def chi_functional(lat: NSLattice, a_vector, v) -> int:
     Integer-valued and additive in v; the numerical stand-in for hom
     counting against a fixed object.
     """
-    a_vector = a_vector.v if isinstance(a_vector, SphericalClass) else a_vector
-    v = v.v if isinstance(v, SphericalClass) else v
     return -mukai_pairing(lat, a_vector, v)
 
 

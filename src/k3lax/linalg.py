@@ -1,4 +1,6 @@
-"""Small exact linear algebra kit: signatures, kernels, canonical bases.
+"""Small exact linear algebra kit: one symmetric elimination
+(`diagonalize`, behind signatures, orthogonal bases and span checks), one
+general solve (`solve_linear`), and canonical integer kernels.
 
 Everything here is deterministic and rational.  Integer lattice bases are
 canonicalized through the Hermite normal form, which is unique for a given
@@ -26,46 +28,53 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def exact_signature(gram: Sequence[Sequence[int | Fraction]]) -> tuple[int, int, int]:
-    """Counts (positive, negative, zero) of a symmetric matrix, exactly.
+def diagonalize(
+    gram: Sequence[Sequence[int | Fraction]],
+) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """(T, diag) with T * gram * T^T = diag(diag), exactly, for a symmetric gram.
 
-    Simultaneous row and column operations preserve the congruence class,
-    and over the rationals every symmetric matrix diagonalizes this way.
-    A vanishing diagonal with a nonzero off-diagonal entry is repaired by
-    adding the partner row and column, which makes the pivot 2*M[k][j].
+    Simultaneous row and column operations, recorded in T, preserve the
+    congruence class.  A vanishing pivot is repaired by a swap with a later
+    nonzero diagonal entry, else by adding the partner row and column,
+    which makes the pivot 2*M[k][j].  For a definite gram no repair
+    happens: T is unit lower triangular and T^-1 is the L of LDL^T.
     """
     n = len(gram)
     M = [[Fraction(x) for x in row] for row in gram]
-    pos = neg = zero = 0
+    T = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for k in range(n):
         if M[k][k] == 0:
             j = next((j for j in range(k + 1, n) if M[j][j] != 0), None)
             if j is not None:
                 M[k], M[j] = M[j], M[k]
+                T[k], T[j] = T[j], T[k]
                 for row in M:
                     row[k], row[j] = row[j], row[k]
             else:
                 j = next((j for j in range(k + 1, n) if M[k][j] != 0), None)
                 if j is None:
-                    zero += 1
                     continue
-                for c in range(n):
-                    M[k][c] += M[j][c]
+                M[k] = [x + y for x, y in zip(M[k], M[j])]
+                T[k] = [x + y for x, y in zip(T[k], T[j])]
                 for row in M:
                     row[k] += row[j]
         pivot = M[k][k]
         for i in range(k + 1, n):
             if M[i][k] != 0:
                 f = M[i][k] / pivot
-                for c in range(n):
-                    M[i][c] -= f * M[k][c]
+                M[i] = [x - f * y for x, y in zip(M[i], M[k])]
+                T[i] = [x - f * y for x, y in zip(T[i], T[k])]
                 for row in M:
                     row[i] -= f * row[k]
-        if pivot > 0:
-            pos += 1
-        else:
-            neg += 1
-    return pos, neg, zero
+    return T, [M[k][k] for k in range(n)]
+
+
+def exact_signature(gram: Sequence[Sequence[int | Fraction]]) -> tuple[int, int, int]:
+    """Counts (positive, negative, zero) of a symmetric matrix, exactly."""
+    diag = diagonalize(gram)[1]
+    pos = sum(x > 0 for x in diag)
+    neg = sum(x < 0 for x in diag)
+    return pos, neg, len(diag) - pos - neg
 
 
 def hnf_rows(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
@@ -126,28 +135,6 @@ def functional_kernel(coeffs: Sequence[int]) -> list[tuple[int, ...]]:
         vals[gcol], vals[i] = g, 0
     kernel = [cols[j] for j in range(n) if j != gcol]
     return hnf_rows(kernel)
-
-
-def matrix_rank(rows: Sequence[Sequence[int | Fraction]]) -> int:
-    A = [[Fraction(x) for x in row] for row in rows]
-    if not A:
-        return 0
-    m, n = len(A), len(A[0])
-    rank = 0
-    for c in range(n):
-        piv = next((i for i in range(rank, m) if A[i][c] != 0), None)
-        if piv is None:
-            continue
-        A[rank], A[piv] = A[piv], A[rank]
-        p = A[rank][c]
-        for i in range(rank + 1, m):
-            if A[i][c] != 0:
-                f = A[i][c] / p
-                A[i] = [x - f * y for x, y in zip(A[i], A[rank])]
-        rank += 1
-        if rank == m:
-            break
-    return rank
 
 
 def solve_linear(matrix: Sequence[Sequence[int | Fraction]], rhs: list):

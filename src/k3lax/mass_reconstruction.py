@@ -17,7 +17,6 @@ predicate compares against the tolerance, exactly on QuadNumber.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
@@ -32,7 +31,13 @@ from .errors import (
     InternalInvariantError,
     NoOrientation,
 )
-from .mukai_lattice import MukaiVector, NSLattice, SphericalClass
+from .mukai_lattice import (
+    MukaiVector,
+    NSLattice,
+    SphericalClass,
+    as_vector,
+    pairing_functional,
+)
 from .linalg import solve_linear
 from .exact_scalars import QuadComplex, QuadNumber, try_sqrt
 
@@ -56,7 +61,7 @@ class MassOracle:
     @classmethod
     def from_table(cls, table: Mapping[MukaiVector, object]) -> MassOracle:
         def query(v: SphericalClass):
-            key = v.v if isinstance(v, SphericalClass) else v
+            key = as_vector(v)
             try:
                 return table[key]
             except KeyError:
@@ -108,12 +113,15 @@ def _gauged_masses(lat: NSLattice, basis: GoodBasis, oracle: MassOracle, exact: 
     """The squared masses of the basis in the gauge M_1 = 1, lifted to
     Q(sqrt(d)) or made floats, and cross(i, j) = Re(Z_i conj Z_j) from the
     companion masses in that gauge."""
-    d = lat.degree
-    lift = (lambda m: _lift(m, d)) if exact else float
-    masses = [lift(oracle.query(cls)) for cls in basis.vectors]
+    def lift(cls: SphericalClass):
+        m = oracle.query(cls)
+        if isinstance(m, float) and not math.isfinite(m):
+            raise InconsistentMasses(f"squared mass of {cls.v} is {m}, not finite")
+        return _lift(m, lat.degree) if exact else float(m)
+
+    masses = [lift(cls) for cls in basis.vectors]
     companions = {
-        key: lift(oracle.query(cls))
-        for key, cls in companion_classes(lat, basis).items()
+        key: lift(cls) for key, cls in companion_classes(lat, basis).items()
     }
     for i, m in enumerate(masses):
         if m < 0:
@@ -149,11 +157,7 @@ def _max_deviation(coefficients, masses: list, cross) -> object:
 
 def _solve_omega(lat: NSLattice, basis: GoodBasis, values: list):
     """Coordinates (r, D, s) of the omega with <omega, v_j> = values[j]."""
-    # <omega, v> = omega.D . G v.D - omega.r v.s - omega.s v.r
-    rows = [
-        [-c.v.s, *(sum(map(operator.mul, row, c.v.D)) for row in lat.gram), -c.v.r]
-        for c in basis.vectors
-    ]
+    rows = [pairing_functional(lat, c.v.r, c.v.D, c.v.s) for c in basis.vectors]
     x = solve_linear(rows, values)
     return x[0], tuple(x[1:-1]), x[-1]
 

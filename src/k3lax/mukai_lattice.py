@@ -14,12 +14,12 @@ simple objects.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import BasisError, DimensionError, LatticeError
-from .linalg import exact_signature, functional_kernel, matrix_rank
+from .linalg import exact_signature, functional_kernel
 
 
 class NSLattice:
@@ -204,14 +204,21 @@ class SphericalClass:
         return cls(v)
 
 
-def _vec(x) -> MukaiVector:
+def as_vector(x) -> MukaiVector:
+    """The Mukai vector of a MukaiVector or SphericalClass."""
     return x.v if isinstance(x, SphericalClass) else x
+
+
+def pairing_functional(lat: NSLattice, r, D: Sequence, s) -> tuple:
+    """Coefficients (-s, G D, -r) of <(r, D, s), .> on the coordinates
+    (r', D', s') of the second argument, for entries of any numeric type."""
+    return (-s, *(sum(map(operator.mul, row, D)) for row in lat.gram), -r)
 
 
 def mukai_pairing(lat: NSLattice, u, v):
     """<u, v> = D_u . D_v - r_u * s_v - r_v * s_u."""
-    u = _vec(u)
-    v = _vec(v)
+    u = as_vector(u)
+    v = as_vector(v)
     return lat.dot(u.D, v.D) - u.r * v.s - v.r * u.s
 
 
@@ -225,10 +232,10 @@ def reflect(lat: NSLattice, delta, v) -> MukaiVector:
     v |-> v + <v, delta> delta is an involutive isometry because delta
     has self-pairing -2.
     """
-    delta_v = _vec(delta)
+    delta_v = as_vector(delta)
     if not is_spherical(lat, delta_v):
         raise BasisError(f"reflection axis {delta_v} is not spherical")
-    return _vec(v) + mukai_pairing(lat, v, delta_v) * delta_v
+    return as_vector(v) + mukai_pairing(lat, v, delta_v) * delta_v
 
 
 def tensor_line_bundle(lat: NSLattice, ell: int, v) -> MukaiVector:
@@ -239,7 +246,7 @@ def tensor_line_bundle(lat: NSLattice, ell: int, v) -> MukaiVector:
     """
     if not isinstance(ell, int):
         raise DimensionError(f"twist exponent must be an integer, got {ell!r}")
-    v = _vec(v)
+    v = as_vector(v)
     H = lat.ample_class
     D = tuple(c + ell * v.r * h for c, h in zip(v.D, H))
     s = v.s + ell * lat.dot_ample(v.D) + lat.degree * ell * ell * v.r
@@ -274,15 +281,7 @@ class SphericalNormBasis:
         a unique Hermite-form basis, which is what gets stored.
         """
         v1 = delta0 if isinstance(delta0, SphericalClass) else SphericalClass.from_vector(lat, delta0)
-        v = v1.v
-        # <v, (r, D, s)> as a functional: coefficient of r is -s_v, of D_k
-        # is (G D_v)_k, of s is -r_v.
-        gd = [
-            sum(lat.gram[i][j] * v.D[j] for j in range(lat.rank))
-            for i in range(lat.rank)
-        ]
-        coeffs = (-v.s, *gd, -v.r)
-        kernel = functional_kernel(coeffs)
+        kernel = functional_kernel(pairing_functional(lat, v1.v.r, v1.v.D, v1.v.s))
         complement = tuple(
             MukaiVector(row[0], row[1:-1], row[-1]) for row in kernel
         )
@@ -300,8 +299,8 @@ class SphericalNormBasis:
         for w in self.complement:
             if mukai_pairing(lat, self.v1, w) != 0:
                 raise BasisError(f"complement vector {w} not orthogonal to head")
-        rows = [self.v1.v.coords()] + [w.coords() for w in self.complement]
-        if matrix_rank(rows) != lat.rank + 2:
+        # in a nondegenerate lattice, rank + 2 vectors span iff their pairings do
+        if exact_signature(pairing_matrix(lat, (self.v1, *self.complement)))[2]:
             raise BasisError("norm basis does not span the Mukai lattice")
 
 
@@ -312,7 +311,7 @@ def spherical_norm(lat: NSLattice, basis: SphericalNormBasis, v):
     triangle inequality, giving a convenient integer-valued size gauge
     on Mukai vectors.
     """
-    v = _vec(v)
+    v = as_vector(v)
     total = abs(mukai_pairing(lat, basis.v1, v))
     for w in basis.complement:
         total += abs(mukai_pairing(lat, w, v))
@@ -320,7 +319,7 @@ def spherical_norm(lat: NSLattice, basis: SphericalNormBasis, v):
 
 
 def pairing_matrix(lat: NSLattice, vectors: Iterable) -> tuple[tuple[int, ...], ...]:
-    vs = [_vec(x) for x in vectors]
+    vs = [as_vector(x) for x in vectors]
     return tuple(
         tuple(mukai_pairing(lat, u, w) for w in vs) for u in vs
     )

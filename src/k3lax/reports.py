@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .mukai_lattice import MukaiVector, SphericalClass
+from .mukai_lattice import MukaiVector, SphericalClass, as_vector
 from .exact_scalars import QuadComplex, QuadNumber
 
 
@@ -42,8 +42,7 @@ def scalar_json(x):
 
 
 def mukai_json(v: MukaiVector | SphericalClass) -> dict:
-    if isinstance(v, SphericalClass):
-        v = v.v
+    v = as_vector(v)
     return {"r": v.r, "D": list(v.D), "s": v.s}
 
 

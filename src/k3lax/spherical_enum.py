@@ -8,9 +8,10 @@ lexicographic order of (r, D, s), so runs are reproducible.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .errors import BasisError, BoxTooSmall, DomainError
 from .mukai_lattice import (
@@ -19,9 +20,10 @@ from .mukai_lattice import (
     SphericalClass,
     line_bundle_vector,
     mukai_pairing,
+    pairing_functional,
     pairing_matrix,
 )
-from .linalg import functional_kernel, matrix_rank
+from .linalg import diagonalize, exact_signature, functional_kernel
 
 
 @dataclass(frozen=True)
@@ -127,22 +129,17 @@ class GoodBasis:
                     raise BasisError(
                         f"basis vectors {i} and {j} are orthogonal"
                     )
-        rows = [cls.v.coords() for cls in self.vectors]
-        if matrix_rank(rows) != n:
+        # in a nondegenerate lattice, n vectors span iff their pairings do
+        if exact_signature(self.pair_matrix)[2]:
             raise BasisError("good basis does not span the Mukai lattice")
 
 
 def _primitive(vector: list[Fraction]) -> tuple[int, ...]:
     """Clear denominators and common factors; first nonzero entry positive."""
-    denom = 1
-    for c in vector:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
+    denom = math.lcm(*(c.denominator for c in vector))
     ints = [int(c * denom) for c in vector]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    if g:
-        ints = [c // g for c in ints]
+    g = math.gcd(*ints) or 1
+    ints = [c // g for c in ints]
     lead = next((c for c in ints if c != 0), 0)
     if lead < 0:
         ints = [-c for c in ints]
@@ -152,22 +149,15 @@ def _primitive(vector: list[Fraction]) -> tuple[int, ...]:
 def _orthogonal_complement_of_ample(lat: NSLattice) -> list[tuple[int, ...]]:
     """Pairwise orthogonal primitive integer classes spanning H-perp.
 
-    Starts from the canonical kernel basis of the functional H . x and
-    runs exact Gram-Schmidt inside the negative-definite complement.
+    Starts from the canonical kernel basis of the functional H . x, whose
+    coefficients are G H, and diagonalizes its Gram matrix.  H-perp is
+    negative definite, so T is unit lower triangular and its rows are the
+    Gram-Schmidt combinations of the kernel basis.
     """
-    functional = [
-        sum(lat.gram[i][j] * lat.ample_class[j] for j in range(lat.rank))
-        for i in range(lat.rank)
-    ]
-    raw = functional_kernel(functional)
-    orthogonal: list[list[Fraction]] = []
-    for row in raw:
-        current = [Fraction(c) for c in row]
-        for prev in orthogonal:
-            coeff = Fraction(lat.dot(current, prev)) / Fraction(lat.dot(prev, prev))
-            current = [c - coeff * p for c, p in zip(current, prev)]
-        orthogonal.append(current)
-    return [_primitive(v) for v in orthogonal]
+    raw = functional_kernel(pairing_functional(lat, 0, lat.ample_class, 0)[1:-1])
+    T, _ = diagonalize([[lat.dot(x, y) for y in raw] for x in raw])
+    columns = list(zip(*raw))
+    return [_primitive([sum(map(operator.mul, row, c)) for c in columns]) for row in T]
 
 
 def good_basis(lat: NSLattice, box: SearchBox) -> GoodBasis:

@@ -317,10 +317,13 @@ class TestMain:
         assert code == 2
         assert json.loads(out)["error"]["type"] == "ConfigError"
 
-    @pytest.mark.parametrize("flag", ["--box", "--jobs", "--u"])
+    @pytest.mark.parametrize("flag", ["--box", "--jobs", "--u", "--B", "--lattice"])
     def test_double_dash_value_exits_2(self, capsys, flag):
-        # argparse (Python 3.11 at least) parses --flag=-- to an empty list
+        # argparse (Python 3.11 at least) parses --flag=-- to an empty list;
+        # --B and --lattice store under other names but are reported as typed
         argv = ["pair", "--lattice", R1D1, "--u", "1,0,1", "--v", "1,0,1", f"{flag}=--"]
+        if flag == "--B":
+            argv = ["chamber", "--lattice", R1D1, "--B", "0", "--alpha", "1", "--B=--"]
         code, out = self._capture(capsys, argv)
         assert code == 2
         assert json.loads(out)["error"]["message"] == f"{flag} needs a value"

@@ -1,11 +1,14 @@
-"""The package runs on the standard library alone.
+"""The package runs on the standard library alone, and imports only what
+it uses.
 
 Every CLI command pays for its imports, so `import k3lax.cli` must not
 pull in mpmath (gone as a dependency) or `concurrent.futures` (the
 thread pool behind --jobs is gone), and the commands that turn exact
-numbers into floats must work with mpmath unavailable.
+numbers into floats must work with mpmath unavailable.  No module of the
+package imports a name it never references.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -76,3 +79,34 @@ def test_commands_run_without_mpmath(kind, tmp_path, monkeypatch, capsys):
     }[kind]
     assert main(argv) == 0
     assert "results" in json.loads(capsys.readouterr().out)
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names bound by import statements and never loaded as a name or as
+    the base of an attribute; `from __future__` imports are exempt."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                imported[bound] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_unused_import_detector():
+    source = "from __future__ import annotations\nimport os, sys\nfrom a import b as c, d\nos.sep\nd()\n"
+    assert _unused_imports(source) == ["sys (line 2)", "c (line 3)"]
+
+
+@pytest.mark.parametrize(
+    "module",
+    sorted(p.name for p in (ROOT / "src" / "k3lax").glob("*.py") if p.name != "__init__.py"),
+)
+def test_no_unused_imports(module):
+    # __init__.py imports only to re-export, so it is not checked
+    source = (ROOT / "src" / "k3lax" / module).read_text(encoding="utf-8")
+    assert _unused_imports(source) == []

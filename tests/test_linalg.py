@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from k3lax.linalg import (
+    diagonalize,
     exact_signature,
     functional_kernel,
     hnf_rows,
-    matrix_rank,
     solve_linear,
     xgcd,
 )
@@ -35,6 +38,56 @@ def test_signature_indefinite_with_zero_diagonal_block():
     assert exact_signature(gram) == (1, 2, 0)
 
 
+def _mul(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
+def _transpose(A):
+    return [list(col) for col in zip(*A)]
+
+
+@st.composite
+def congruent_diagonals(draw):
+    """(G, D0) with G = T0 diag(D0) T0^T for a random invertible T0: unit
+    lower triangular times a permutation times a unit upper triangular,
+    so pivots vanish and need swaps or partner-row repairs."""
+    n = draw(st.integers(0, 5))
+    small = st.integers(-3, 3)
+    d0 = draw(st.lists(st.sampled_from([-2, -1, 0, 0, 1, 3]), min_size=n, max_size=n))
+    lower = [[1 if i == j else (draw(small) if j < i else 0) for j in range(n)] for i in range(n)]
+    upper = [[1 if i == j else (draw(small) if j > i else 0) for j in range(n)] for i in range(n)]
+    perm = draw(st.permutations(range(n)))
+    P = [[int(perm[i] == j) for j in range(n)] for i in range(n)]
+    T0 = _mul(_mul(lower, P), upper)
+    G = _mul(_mul(T0, [[d0[i] if i == j else 0 for j in range(n)] for i in range(n)]), _transpose(T0))
+    return G, d0
+
+
+@settings(max_examples=300, deadline=None)
+@given(congruent_diagonals())
+# zero diagonals throughout: only the partner-row repair finds a pivot
+@example(([[0, 1], [1, 0]], [1, -1]))
+@example(([[0, 2, 1], [2, 0, 3], [1, 3, 0]], [1, -1, -1]))
+@example(([[0, 0, 1], [0, 0, 0], [1, 0, 0]], [1, -1, 0]))
+def test_diagonalize_congruence(case):
+    G, d0 = case
+    pos = sum(1 for x in d0 if x > 0)
+    neg = sum(1 for x in d0 if x < 0)
+    assert exact_signature(G) == (pos, neg, len(d0) - pos - neg)
+    T, diag = diagonalize(G)
+    n = len(G)
+    assert _mul(_mul(T, G), _transpose(T)) == [
+        [diag[i] if i == j else 0 for j in range(n)] for i in range(n)
+    ]
+
+
+def test_diagonalize_definite_is_unit_lower_triangular():
+    G = [[-4, 2, 0], [2, -4, 2], [0, 2, -6]]
+    T, diag = diagonalize(G)
+    assert all(T[i][i] == 1 and not any(T[i][i + 1:]) for i in range(3))
+    assert diag == [-4, -3, Fraction(-14, 3)]
+
+
 def test_hnf_canonical():
     rows = hnf_rows([[2, 4], [1, 3]])
     assert rows == [(1, 1), (0, 2)]
@@ -59,12 +112,6 @@ def test_functional_kernel_gcd_functional():
     assert len(basis) == 1
     (row,) = basis
     assert 2 * row[0] + 3 * row[1] == 0
-
-
-def test_matrix_rank():
-    assert matrix_rank([[1, 2], [2, 4]]) == 1
-    assert matrix_rank([[1, 0], [0, 1]]) == 2
-    assert matrix_rank([[0, 0]]) == 0
 
 
 def test_solve_linear_fraction():

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -260,6 +261,52 @@ class TestFailureModes:
         # positive plane, so float mode refuses it too, later
         with pytest.raises(NoOrientation):
             reconstruct(rho1_d1, basis1, oracle, mode="float")
+
+
+def _entries(lat, basis):
+    return [cls.v for cls in basis.vectors] + [
+        cls.v for cls in companion_classes(lat, basis).values()
+    ]
+
+
+class TestNonFiniteMasses:
+    """A NaN or infinite mass in any table entry, gauge or not, is
+    inconsistent data naming its class, in every mode and in residual."""
+
+    @pytest.fixture
+    def charge_table(self, rho1_d1, basis1):
+        omega = omega_from_bw(rho1_d1, BWParams((Fraction(1, 2),), Fraction(3, 2)))
+        return _full_table(rho1_d1, basis1, MassOracle.from_charge(rho1_d1, omega))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("entry", range(6))
+    def test_float_reconstruct(self, rho1_d1, basis1, charge_table, entry, bad):
+        key = _entries(rho1_d1, basis1)[entry]
+        table = {k: float(m.a) for k, m in charge_table.items()}
+        table[key] = bad
+        with pytest.raises(InconsistentMasses, match=re.escape(str(key))):
+            reconstruct(rho1_d1, basis1, MassOracle.from_table(table), mode="float")
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("entry", range(6))
+    def test_exact_reconstruct(self, rho1_d1, basis1, charge_table, entry, bad):
+        key = _entries(rho1_d1, basis1)[entry]
+        table = dict(charge_table)
+        table[key] = bad
+        with pytest.raises(InconsistentMasses, match=re.escape(str(key))):
+            reconstruct(rho1_d1, basis1, MassOracle.from_table(table))
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("entry", range(6))
+    def test_residual(self, rho1_d1, basis1, charge_table, entry, mode):
+        rec = reconstruct(
+            rho1_d1, basis1, MassOracle.from_table(charge_table), mode=mode
+        )
+        key = _entries(rho1_d1, basis1)[entry]
+        table = {k: float(m.a) for k, m in charge_table.items()}
+        table[key] = float("nan")
+        with pytest.raises(InconsistentMasses, match=re.escape(str(key))):
+            residual(rho1_d1, basis1, MassOracle.from_table(table), rec)
 
 
 class TestResidualProbe:

@@ -16,6 +16,7 @@ from k3lax import (
     tensor_line_bundle,
 )
 from k3lax.errors import BasisError, DimensionError, LatticeError
+from k3lax.mukai_lattice import pairing_functional
 
 from conftest import random_vector
 
@@ -226,6 +227,18 @@ class TestSphericalNorm:
         assert spherical_norm(rho1_d1, basis, MukaiVector(0, (0,), 0)) == 0
         assert spherical_norm(rho1_d1, basis, MukaiVector(0, (0,), 1)) == 2
 
+    def test_validate_rejects_repeated_complement_vector(self, all_lattices):
+        for lat in all_lattices:
+            basis = SphericalNormBasis.build(
+                lat, MukaiVector(1, (0,) * lat.rank, 1)
+            )
+            first = basis.complement[0]
+            repeated = SphericalNormBasis(
+                basis.v1, (first, *basis.complement[:-1])
+            )
+            with pytest.raises(BasisError, match="does not span"):
+                repeated.validate(lat)
+
     def test_norm_axioms(self, all_lattices):
         rng = random.Random(43)
         for lat in all_lattices:
@@ -243,6 +256,19 @@ class TestSphericalNorm:
                 assert spherical_norm(lat, basis, k * u) == abs(k) * nu
                 if any(u.coords()):
                     assert nu > 0
+
+
+def test_pairing_functional(all_lattices):
+    rng = random.Random(17)
+    for lat in all_lattices:
+        for _ in range(60):
+            u = random_vector(rng, lat.rank)
+            v = random_vector(rng, lat.rank)
+            coeffs = pairing_functional(lat, u.r, u.D, u.s)
+            assert len(coeffs) == lat.rank + 2
+            assert sum(c * x for c, x in zip(coeffs, v.coords())) == mukai_pairing(
+                lat, u, v
+            )
 
 
 def test_pairing_matrix(rho1_d1):

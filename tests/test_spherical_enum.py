@@ -12,8 +12,11 @@ from k3lax import (
     good_basis,
     is_spherical,
     mukai_pairing,
+    pairing_matrix,
 )
 from k3lax.errors import BasisError, BoxTooSmall, DomainError
+from k3lax.mukai_lattice import NSLattice
+from k3lax.spherical_enum import _orthogonal_complement_of_ample
 
 from conftest import brute_force_spherical
 
@@ -135,6 +138,29 @@ class TestGoodBasis:
         short = GoodBasis(basis.vectors[:2], basis.pair_matrix)
         with pytest.raises(BasisError):
             short.validate(rho1_d1)
+
+    def test_validate_rejects_repeated_vector(self, all_lattices):
+        # spherical, pairwise non-orthogonal, matching matrix, no span
+        for lat in all_lattices:
+            vectors = good_basis(lat, SearchBox(8, 8, 40)).vectors
+            vectors = (*vectors[:-1], vectors[0])
+            repeated = GoodBasis(vectors, pairing_matrix(lat, vectors))
+            with pytest.raises(BasisError, match="does not span"):
+                repeated.validate(lat)
+
+    def test_picard_rank_three(self):
+        # the kernel basis of H . x is not orthogonal here, so the
+        # complement really is a Gram-Schmidt of it
+        lat = NSLattice([[2, 0, 0], [0, -4, 2], [0, 2, -4]], [1, 0, 0])
+        assert _orthogonal_complement_of_ample(lat) == [(0, 1, 0), (0, 1, 2)]
+        basis = good_basis(lat, SearchBox(8, 8, 40))
+        assert [cls.v.coords() for cls in basis.vectors] == [
+            (1, 0, 0, 0, 1),
+            (1, -1, 0, 0, 2),
+            (1, 2, 0, 0, 5),
+            (1, 0, 2, 0, -7),
+            (1, 0, 2, 4, -23),
+        ]
 
 
 class TestCompanions:
