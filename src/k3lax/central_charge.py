@@ -154,8 +154,8 @@ class ChargeForms(NamedTuple):
         ra, rb, ia, ib = self.ints(v)
         L, d = self.denom, self.d
         return QuadComplex(
-            QuadNumber(Fraction(ra, L), Fraction(rb, L), d),
-            QuadNumber(Fraction(ia, L), Fraction(ib, L), d),
+            QuadNumber.from_integers(ra, rb, L, d),
+            QuadNumber.from_integers(ia, ib, L, d),
         )
 
 

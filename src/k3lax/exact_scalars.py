@@ -1,17 +1,20 @@
 """Exact arithmetic in real quadratic fields Q(sqrt(d)) and their complexifications.
 
-A number is stored as a pair of rationals (a, b) meaning a + b*sqrt(d) for a
-fixed positive integer radicand d.  Perfect-square radicands fold into the
-rational part at construction time, so a single code path serves both the
-rational and the genuinely quadratic case.  Every comparison is exact; no
-floating point enters unless `approx` is called, and `approx` returns the
-correctly rounded double, computed from integers.
+A number a + b*sqrt(d), d a positive integer radicand, is stored as
+integers (A + B*sqrt(d)) / L in the normal form L > 0, gcd(A, B, L) = 1,
+so equal numbers store equal integers.  A perfect-square radicand folds
+into the rational part (B = 0, d = 1) at construction, so one code path
+serves the rational and the quadratic case.  Arithmetic runs on the
+integers and reduces each result once; `Fraction` enters only as the
+parts `a` and `b` and as rational operands.  Every comparison is exact,
+and `approx` returns the correctly rounded double, computed from integers.
 """
 
 from __future__ import annotations
 
-import math
+import operator
 from fractions import Fraction
+from math import gcd, isqrt
 
 from .errors import DomainError, RadicandMismatch
 
@@ -19,39 +22,22 @@ from .errors import DomainError, RadicandMismatch
 # denominator, which is exactly the rational type needed here.
 Rational = Fraction
 
-_RATIONAL_TYPES = (int, Fraction)
-_F0 = Fraction(0)
 
+def quad_to_float(A: int, B: int, L: int, d: int) -> float:
+    """The double nearest to (A + B*sqrt(d)) / L, L > 0, d not a perfect square.
 
-def sqrt_fraction(x: Fraction) -> Fraction | None:
-    """Exact square root of a rational, or None if there is none."""
-    if x < 0:
-        return None
-    num = math.isqrt(x.numerator)
-    den = math.isqrt(x.denominator)
-    if num * num != x.numerator or den * den != x.denominator:
-        return None
-    return Fraction(num, den)
-
-
-def quad_to_float(a: Fraction, b: Fraction, d: int) -> float:
-    """The double nearest to a + b*sqrt(d), d not a perfect square.
-
-    With x = (A + B*sqrt(d)) / L over integers, isqrt brackets
-    B*sqrt(d)*2^k between consecutive integers, so x lies in a rational
-    interval of width 1 / (L*2^k).  Once both ends round to the same
-    double, so does x; otherwise k doubles.  An irrational x is never a
-    rounding midpoint, so the loop ends whenever b != 0.
+    isqrt brackets B*sqrt(d)*2^k between consecutive integers, so the
+    number lies in a rational interval of width 1 / (L*2^k).  Once both
+    ends round to the same double, so does the number; otherwise k
+    doubles.  An irrational number is never a rounding midpoint, so the
+    loop ends whenever B != 0.
     """
-    if b == 0:
-        return float(a)
-    L = math.lcm(a.denominator, b.denominator)
-    A = a.numerator * (L // a.denominator)
-    B = b.numerator * (L // b.denominator)
+    if B == 0:
+        return A / L
     k = 64
     while True:
         # floor(|B| sqrt(d) 2^k) < |B| sqrt(d) 2^k < floor(...) + 1
-        low = math.isqrt(B * B * d << (2 * k))
+        low = isqrt(B * B * d << (2 * k))
         if B < 0:
             low = -low - 1
         num = (A << k) + low
@@ -86,38 +72,118 @@ def quad_sign(a, b, d: int) -> int:
     return 1 if (a > 0) == bigger_is_a else -1
 
 
-class QuadNumber:
-    """An element a + b*sqrt(d) of Q(sqrt(d)), d a positive integer."""
+def _ratio(x) -> tuple[int, int]:
+    """Numerator and denominator of anything Fraction accepts."""
+    if isinstance(x, int):
+        return x, 1
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator, x.denominator
 
-    __slots__ = ("_a", "_b", "_d")
+
+def _reduced(A: int, B: int, L: int, d: int) -> QuadNumber:
+    """(A + B*sqrt(d)) / L in normal form, for L != 0 and d = 1 or not a
+    square.  Arithmetic builds its results here, past __init__."""
+    g = gcd(A, B, L)
+    if L < 0:
+        g = -g
+    x = object.__new__(QuadNumber)
+    x._A, x._B, x._L, x._d = A // g, B // g, L // g, d
+    return x
+
+
+def _folded(A: int, B: int, L: int, d: int) -> QuadNumber:
+    """(A + B*sqrt(d)) / L for any positive radicand d, folding a square one."""
+    if not isinstance(d, int) or d < 1:
+        raise DomainError(f"radicand must be a positive integer, got {d!r}")
+    if L == 0:
+        raise ZeroDivisionError("quadratic number with denominator zero")
+    root = isqrt(d)
+    if root * root == d:
+        # sqrt(d) is an integer: collapse to the rational part.
+        A, B, d = A + B * root, 0, 1
+    return _reduced(A, B, L, d)
+
+
+# The kernels of the four operations take both operands as integers
+# (A, B, L) over the radicand d they share.
+
+
+def _sum(A1: int, B1: int, L1: int, A2: int, B2: int, L2: int, d: int) -> QuadNumber:
+    if L1 == L2:
+        return _reduced(A1 + A2, B1 + B2, L1, d)
+    return _reduced(A1 * L2 + A2 * L1, B1 * L2 + B2 * L1, L1 * L2, d)
+
+
+def _difference(A1: int, B1: int, L1: int, A2: int, B2: int, L2: int, d: int) -> QuadNumber:
+    return _sum(A1, B1, L1, -A2, -B2, L2, d)
+
+
+def _product(A1: int, B1: int, L1: int, A2: int, B2: int, L2: int, d: int) -> QuadNumber:
+    return _reduced(A1 * A2 + B1 * B2 * d, A1 * B2 + B1 * A2, L1 * L2, d)
+
+
+def _quotient(A1: int, B1: int, L1: int, A2: int, B2: int, L2: int, d: int) -> QuadNumber:
+    # the numerator times L2 (A2 - B2 sqrt(d)), over L1 times the norm
+    if A2 == 0 and B2 == 0:
+        raise ZeroDivisionError("division by zero quadratic number")
+    num_a, num_b = (A1 * A2 - B1 * B2 * d) * L2, (B1 * A2 - A1 * B2) * L2
+    return _reduced(num_a, num_b, L1 * (A2 * A2 - B2 * B2 * d), d)
+
+
+def _binary(kernel, reflected: bool = False):
+    """The operator method applying `kernel` to self and the coerced
+    operand, in that order, or the other way round if reflected."""
+    def method(self, other):
+        rhs = self._operand(other)
+        if rhs is None:
+            return NotImplemented
+        A, B, L, d = rhs
+        if reflected:
+            return kernel(A, B, L, self._A, self._B, self._L, d)
+        return kernel(self._A, self._B, self._L, A, B, L, d)
+
+    return method
+
+
+def _comparison(op):
+    return lambda self, other: op(self._cmp(other), 0)
+
+
+def _sqrt_ratio(num: int, den: int) -> tuple[int, int] | None:
+    """(p, q) in lowest terms with (p/q)^2 = num/den for den > 0, or None."""
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    p, q = isqrt(max(num, 0)), isqrt(den)
+    return (p, q) if p * p == num and q * q == den else None
+
+
+class QuadNumber:
+    """An element a + b*sqrt(d) of Q(sqrt(d)), d a positive integer.
+
+    Held as integers (A + B*sqrt(d)) / L with L > 0 and gcd(A, B, L) = 1;
+    a perfect-square d is folded away (B = 0, d = 1).  `a` and `b` are
+    the rational parts A/L and B/L.  An operand sharing the field (the
+    same radicand, or rational) enters the arithmetic as it is.
+    """
+
+    __slots__ = ("_A", "_B", "_L", "_d")
 
     def __init__(self, a: Fraction | int, b: Fraction | int = 0, d: int = 1):
-        if not isinstance(d, int) or d < 1:
-            raise DomainError(f"radicand must be a positive integer, got {d!r}")
-        # arithmetic feeds Fractions back in; rewrapping them dominated
-        # profiles, so convert only what is not one already
-        if type(a) is not Fraction:
-            a = Fraction(a)
-        if type(b) is not Fraction:
-            b = Fraction(b)
-        if d != 1:
-            root = math.isqrt(d)
-            if root * root == d:
-                # sqrt(d) is an integer: collapse to the rational part.
-                a, b, d = a + b * root, _F0, 1
-        elif b:
-            a, b = a + b, _F0
-        self._a = a
-        self._b = b
-        self._d = d
+        (an, ad), (bn, bd) = _ratio(a), _ratio(b)
+        x = _folded(an * bd, bn * ad, ad * bd, d)
+        self._A, self._B, self._L, self._d = x._A, x._B, x._L, x._d
+
+    # (A + B*sqrt(d)) / L from integers, L nonzero
+    from_integers = staticmethod(_folded)
 
     @property
     def a(self) -> Fraction:
-        return self._a
+        return Fraction(self._A, self._L)
 
     @property
     def b(self) -> Fraction:
-        return self._b
+        return Fraction(self._B, self._L)
 
     @property
     def d(self) -> int:
@@ -126,43 +192,41 @@ class QuadNumber:
     @classmethod
     def sqrt_radicand(cls, d: int) -> QuadNumber:
         """The element sqrt(d) itself."""
-        return cls(Fraction(0), Fraction(1), d)
+        return cls(0, 1, d)
 
     @property
     def is_rational(self) -> bool:
-        return self._b == 0
+        return self._B == 0
 
     @property
     def is_zero(self) -> bool:
-        return self._a == 0 and self._b == 0
+        return self._A == 0 and self._B == 0
 
-    def _coerce(self, other) -> "QuadNumber | None":
-        """Bring `other` into this number's field, or None if impossible."""
-        if isinstance(other, _RATIONAL_TYPES):
-            return QuadNumber(Fraction(other), Fraction(0), self._d)
-        if not isinstance(other, QuadNumber):
-            return None
-        if other._d == self._d or other._b == 0:
-            return QuadNumber(other._a, other._b, self._d)
-        if self._b == 0:
-            return other
-        raise RadicandMismatch(
-            f"cannot combine sqrt({self._d}) with sqrt({other._d})"
-        )
-
-    def _promote_self(self, other: "QuadNumber") -> "QuadNumber":
-        # After _coerce the pair shares a radicand unless self was rational.
-        if self._d == other._d or self._b == 0:
-            return QuadNumber(self._a, self._b, other._d)
-        return self
+    def _operand(self, other) -> tuple[int, int, int, int] | None:
+        """(A, B, L, d) of `other` with d the radicand the pair shares,
+        or None for a type that is not a rational or quadratic number."""
+        if type(other) is QuadNumber:
+            d = self._d
+            if other._d != d and other._B:
+                if self._B:
+                    raise RadicandMismatch(
+                        f"cannot combine sqrt({d}) with sqrt({other._d})"
+                    )
+                d = other._d
+            return other._A, other._B, other._L, d
+        if isinstance(other, int):
+            return other, 0, 1, self._d
+        if isinstance(other, Fraction):
+            return other.numerator, 0, other.denominator, self._d
+        return None
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, 1}."""
-        return quad_sign(self._a, self._b, self._d)
+        return quad_sign(self._A, self._B, self._d)
 
     def conjugate(self) -> QuadNumber:
         """Field conjugate a - b*sqrt(d)."""
-        return QuadNumber(self._a, -self._b, self._d)
+        return _reduced(self._A, -self._B, self._L, self._d)
 
     def approx(self, precision_bits: int = 64) -> float:
         """The correctly rounded double nearest to this number.
@@ -173,60 +237,17 @@ class QuadNumber:
         """
         if precision_bits < 64:
             raise DomainError("precision_bits must be at least 64")
-        return quad_to_float(self._a, self._b, self._d)
+        return quad_to_float(self._A, self._B, self._L, self._d)
 
-    def __add__(self, other) -> QuadNumber:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        lhs = self._promote_self(rhs)
-        return QuadNumber(lhs._a + rhs._a, lhs._b + rhs._b, lhs._d)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> QuadNumber:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other) -> QuadNumber:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs + (-self)
-
-    def __mul__(self, other) -> QuadNumber:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        lhs = self._promote_self(rhs)
-        return QuadNumber(
-            lhs._a * rhs._a + lhs._b * rhs._b * lhs._d,
-            lhs._a * rhs._b + lhs._b * rhs._a,
-            lhs._d,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> QuadNumber:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        if rhs.is_zero:
-            raise ZeroDivisionError("division by zero quadratic number")
-        norm = rhs._a * rhs._a - rhs._b * rhs._b * rhs._d
-        inverse = QuadNumber(rhs._a / norm, -rhs._b / norm, rhs._d)
-        return self * inverse
-
-    def __rtruediv__(self, other) -> QuadNumber:
-        lhs = self._coerce(other)
-        if lhs is None:
-            return NotImplemented
-        return lhs / self
+    __add__ = __radd__ = _binary(_sum)
+    __sub__ = _binary(_difference)
+    __rsub__ = _binary(_difference, reflected=True)
+    __mul__ = __rmul__ = _binary(_product)
+    __truediv__ = _binary(_quotient)
+    __rtruediv__ = _binary(_quotient, reflected=True)
 
     def __neg__(self) -> QuadNumber:
-        return QuadNumber(-self._a, -self._b, self._d)
+        return _reduced(-self._A, -self._B, self._L, self._d)
 
     def __pos__(self) -> QuadNumber:
         return self
@@ -237,7 +258,7 @@ class QuadNumber:
     def __pow__(self, exponent: int) -> QuadNumber:
         if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
-        result = QuadNumber(1, 0, self._d)
+        result = _reduced(1, 0, 1, self._d)
         base = self
         n = exponent
         while n:
@@ -248,52 +269,49 @@ class QuadNumber:
         return result
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, _RATIONAL_TYPES):
-            return self._b == 0 and self._a == other
-        if not isinstance(other, QuadNumber):
-            return NotImplemented
-        if self._b == 0 and other._b == 0:
-            return self._a == other._a
-        return self._a == other._a and self._b == other._b and self._d == other._d
+        if type(other) is not QuadNumber:
+            rhs = self._operand(other)
+            return NotImplemented if rhs is None else (self._A, self._B, self._L) == rhs[:3]
+        # normal forms are unique; a rational's radicand does not count
+        return (self._A, self._B, self._L) == (other._A, other._B, other._L) and (
+            not self._B or self._d == other._d
+        )
 
     def __hash__(self):
-        if self._b == 0:
-            return hash(self._a)
-        return hash((self._a, self._b, self._d))
+        if self._B:
+            return hash((self._A, self._B, self._L, self._d))
+        # equal to the hash of the equal int or Fraction
+        return hash(self._A) if self._L == 1 else hash(Fraction(self._A, self._L))
 
     def _cmp(self, other) -> int:
-        if isinstance(other, _RATIONAL_TYPES):
-            return quad_sign(self._a - other, self._b, self._d)
-        diff = self - other
-        if not isinstance(diff, QuadNumber):
+        """Sign of self - other."""
+        rhs = self._operand(other)
+        if rhs is None:
             raise TypeError(f"cannot compare QuadNumber with {type(other).__name__}")
-        return diff.sign()
+        A, B, L, d = rhs
+        return quad_sign(self._A * L - A * self._L, self._B * L - B * self._L, d)
 
-    def __lt__(self, other) -> bool:
-        return self._cmp(other) < 0
-
-    def __le__(self, other) -> bool:
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other) -> bool:
-        return self._cmp(other) > 0
-
-    def __ge__(self, other) -> bool:
-        return self._cmp(other) >= 0
+    __lt__ = _comparison(operator.lt)
+    __le__ = _comparison(operator.le)
+    __gt__ = _comparison(operator.gt)
+    __ge__ = _comparison(operator.ge)
 
     def __float__(self) -> float:
-        return quad_to_float(self._a, self._b, self._d)
+        return quad_to_float(self._A, self._B, self._L, self._d)
 
     def __repr__(self) -> str:
-        return f"QuadNumber({self._a}, {self._b}, d={self._d})"
+        return f"QuadNumber({self.a}, {self.b}, d={self._d})"
 
     def __str__(self) -> str:
-        if self._b == 0:
-            return str(self._a)
-        if self._a == 0:
-            return f"{self._b}*sqrt({self._d})"
-        op = "+" if self._b > 0 else "-"
-        return f"{self._a} {op} {abs(self._b)}*sqrt({self._d})"
+        if self._B == 0:
+            return str(self.a)
+        if self._A == 0:
+            return f"{self.b}*sqrt({self._d})"
+        op = "+" if self._B > 0 else "-"
+        return f"{self.a} {op} {abs(self.b)}*sqrt({self._d})"
+
+
+_REAL = (QuadNumber, int, Fraction)
 
 
 class QuadComplex:
@@ -303,10 +321,10 @@ class QuadComplex:
 
     def __init__(self, re, im=0):
         if not isinstance(re, QuadNumber):
-            re = QuadNumber(Fraction(re))
+            re = QuadNumber(re)
         if not isinstance(im, QuadNumber):
-            im = QuadNumber(Fraction(im))
-        if re.b != 0 and im.b != 0 and re.d != im.d:
+            im = QuadNumber(im)
+        if re.d != im.d and not re.is_rational and not im.is_rational:
             raise RadicandMismatch(
                 f"real part over sqrt({re.d}), imaginary part over sqrt({im.d})"
             )
@@ -336,68 +354,58 @@ class QuadComplex:
         return self._re * self._re + self._im * self._im
 
     def approx(self, precision_bits: int = 64) -> complex:
-        return complex(
-            self._re.approx(precision_bits), self._im.approx(precision_bits)
-        )
+        return complex(self._re.approx(precision_bits), self._im.approx(precision_bits))
 
-    def _coerce(self, other) -> "QuadComplex | None":
-        if isinstance(other, QuadComplex):
-            return other
-        if isinstance(other, (QuadNumber, *_RATIONAL_TYPES)):
-            return QuadComplex(other, 0)
-        return None
+    # A rational or quadratic operand enters each part on its own.
 
     def __add__(self, other) -> QuadComplex:
-        rhs = self._coerce(other)
-        if rhs is None:
+        if isinstance(other, _REAL):
+            return QuadComplex(self._re + other, self._im)
+        if not isinstance(other, QuadComplex):
             return NotImplemented
-        return QuadComplex(self._re + rhs._re, self._im + rhs._im)
+        return QuadComplex(self._re + other._re, self._im + other._im)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> QuadComplex:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return QuadComplex(self._re - rhs._re, self._im - rhs._im)
+        return self + -other if isinstance(other, (QuadComplex, *_REAL)) else NotImplemented
 
     def __rsub__(self, other) -> QuadComplex:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs - self
+        return (-self).__add__(other)
 
     def __mul__(self, other) -> QuadComplex:
-        rhs = self._coerce(other)
-        if rhs is None:
+        if isinstance(other, _REAL):
+            return QuadComplex(self._re * other, self._im * other)
+        if not isinstance(other, QuadComplex):
             return NotImplemented
         return QuadComplex(
-            self._re * rhs._re - self._im * rhs._im,
-            self._re * rhs._im + self._im * rhs._re,
+            self._re * other._re - self._im * other._im,
+            self._re * other._im + self._im * other._re,
         )
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> QuadComplex:
-        rhs = self._coerce(other)
-        if rhs is None:
+        if isinstance(other, QuadComplex):
+            return self * other.conjugate() / other.norm_square()
+        if not isinstance(other, _REAL):
             return NotImplemented
-        denom = rhs.norm_square()
-        if denom.is_zero:
-            raise ZeroDivisionError("division by zero quadratic complex number")
-        numer = self * rhs.conjugate()
-        return QuadComplex(numer._re / denom, numer._im / denom)
+        return QuadComplex(self._re / other, self._im / other)
 
     def __neg__(self) -> QuadComplex:
         return QuadComplex(-self._re, -self._im)
 
     def __eq__(self, other) -> bool:
-        rhs = self._coerce(other)
-        if rhs is None:
+        if isinstance(other, _REAL):
+            return self._im.is_zero and self._re == other
+        if not isinstance(other, QuadComplex):
             return NotImplemented
-        return self._re == rhs._re and self._im == rhs._im
+        return self._re == other._re and self._im == other._im
 
     def __hash__(self):
+        # a real value hashes as its real part, as complex(x, 0) does
+        if self._im.is_zero:
+            return hash(self._re)
         return hash((self._re, self._im))
 
     def __complex__(self) -> complex:
@@ -410,26 +418,13 @@ class QuadComplex:
         return f"({self._re}) + ({self._im})*i"
 
 
-def quad_add(x: QuadNumber, y: QuadNumber) -> QuadNumber:
-    return x + y
-
-
-def quad_mul(x: QuadNumber, y: QuadNumber) -> QuadNumber:
-    return x * y
-
-
-def quad_neg(x: QuadNumber) -> QuadNumber:
-    return -x
-
-
-def norm_square(z: QuadComplex) -> QuadNumber:
-    return z.norm_square()
+# the operators as functions
+quad_add, quad_mul, quad_neg = operator.add, operator.mul, operator.neg
+norm_square = QuadComplex.norm_square
 
 
 def approx(x: QuadNumber | QuadComplex | Fraction | int, precision_bits: int = 64):
-    if isinstance(x, _RATIONAL_TYPES):
-        x = QuadNumber(Fraction(x))
-    return x.approx(precision_bits)
+    return (x if isinstance(x, (QuadNumber, QuadComplex)) else QuadNumber(x)).approx(precision_bits)
 
 
 def try_sqrt(x: QuadNumber) -> QuadNumber | None:
@@ -438,37 +433,37 @@ def try_sqrt(x: QuadNumber) -> QuadNumber | None:
     Writing y = p + q*sqrt(d) and squaring, y*y = x forces either q = 0
     (plain rational root), p = 0 (a rational multiple of sqrt(d)), or the
     mixed case 2pq = b where p^2 solves a quadratic whose discriminant is
-    the field norm a^2 - b^2 d.  Each case reduces to rational square
-    roots, so existence is decidable exactly.
+    the field norm a^2 - b^2 d.  Each case reduces to integer square
+    roots of the numerators and denominators, so existence is decidable
+    exactly.
 
     Raises DomainError when x < 0; returns None when x is positive but
     has no root in the field.
     """
     if not isinstance(x, QuadNumber):
-        x = QuadNumber(Fraction(x))
-    s = x.sign()
-    if s < 0:
+        x = QuadNumber(x)
+    if x.sign() < 0:
         raise DomainError(f"square root of negative number {x}")
-    if s == 0:
-        return QuadNumber(0, 0, x.d)
-    a, b, d = x.a, x.b, x.d
-    if b == 0:
-        root = sqrt_fraction(a)
+    A, B, L, d = x._A, x._B, x._L, x._d
+    if B == 0:
+        root = _sqrt_ratio(A, L)
         if root is not None:
-            return QuadNumber(root, 0, d)
-        scaled = sqrt_fraction(a / d)
-        if scaled is not None:
-            return QuadNumber(0, scaled, d)
+            return _reduced(root[0], 0, root[1], d)
+        root = _sqrt_ratio(A, L * d)
+        if root is not None:
+            return _reduced(0, root[0], root[1], d)
         return None
-    t = sqrt_fraction(a * a - b * b * d)
-    if t is None:
+    # x = (A + B sqrt(d)) / L has norm (A^2 - B^2 d) / L^2 = t^2
+    root = _sqrt_ratio(A * A - B * B * d, 1)
+    if root is None:
         return None
-    for candidate in ((a + t) / 2, (a - t) / 2):
-        p = sqrt_fraction(candidate)
-        if p is None or p == 0:
+    for num in (A + root[0], A - root[0]):
+        # p^2 = (a +- t) / 2 and q = b / (2p), over the denominator 2 L p
+        root = _sqrt_ratio(num, 2 * L)
+        if root is None or root[0] == 0:
             continue
-        q = b / (2 * p)
-        y = QuadNumber(p, q, d)
+        pn, pd = root
+        y = _reduced(2 * L * pn * pn, B * pd * pd, 2 * L * pn * pd, d)
         if y.sign() < 0:
             y = -y
         if y * y == x:

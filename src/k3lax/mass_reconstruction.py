@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Mapping
 
 from .central_charge import OmegaVector, compile_charge, in_P_plus
@@ -100,13 +99,12 @@ class ReconstructedCharge:
 
 
 def _lift(value, d: int) -> QuadNumber:
-    if isinstance(value, QuadNumber):
-        if not value.is_rational and value.d != d:
-            raise DomainError(
-                f"mass over sqrt({value.d}) in a lattice with field sqrt({d})"
-            )
-        return QuadNumber(value.a, value.b, d)
-    return QuadNumber(Fraction(value), 0, d)
+    if not isinstance(value, QuadNumber):
+        return QuadNumber(value, 0, d)
+    if not value.is_rational and value.d != d:
+        raise DomainError(f"mass over sqrt({value.d}) in a lattice with field sqrt({d})")
+    # a mass in the field is used as it is; a rational one joins the field
+    return value if value.d == d else QuadNumber(value.a, 0, d)
 
 
 def _gauged_masses(lat: NSLattice, basis: GoodBasis, oracle: MassOracle, exact: bool, tol):
@@ -117,7 +115,10 @@ def _gauged_masses(lat: NSLattice, basis: GoodBasis, oracle: MassOracle, exact: 
         m = oracle.query(cls)
         if isinstance(m, float) and not math.isfinite(m):
             raise InconsistentMasses(f"squared mass of {cls.v} is {m}, not finite")
-        return _lift(m, lat.degree) if exact else float(m)
+        try:
+            return _lift(m, lat.degree) if exact else float(m)
+        except OverflowError:
+            raise InconsistentMasses(f"squared mass of {cls.v} is beyond the double range")
 
     masses = [lift(cls) for cls in basis.vectors]
     companions = {

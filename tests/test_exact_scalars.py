@@ -1,4 +1,5 @@
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -312,3 +313,163 @@ class TestQuadComplex:
         z = QuadComplex(q(0, 1), q(1))
         value = z.approx(64)
         assert abs(complex(value) - complex(2**0.5, 1)) < 1e-15
+
+
+class TestQuadComplexHash:
+    def test_real_value_hashes_as_its_real_part(self):
+        assert hash(QuadComplex(1)) == hash(1)
+        assert len({QuadComplex(1), 1, QuadNumber(1)}) == 1
+        half = Fraction(1, 2)
+        assert hash(QuadComplex(q(half), q(0))) == hash(half)
+        assert len({QuadComplex(half), half, q(half)}) == 1
+        assert QuadComplex(q(0, 1)) == q(0, 1)
+        assert hash(QuadComplex(q(0, 1))) == hash(q(0, 1))
+
+
+# ------------------------------------------------------ reference model
+#
+# a + b*sqrt(d) as a plain (Fraction, Fraction, d) triple, with the rules
+# QuadNumber documents: a square radicand folds into a (d = 1), and of two
+# operands over different radicands at least one must be rational, the
+# pair then taking the radicand of the irrational one (of the left one
+# when both are rational).
+
+RADICANDS = [1, 2, 3, 4, 5, 12]
+
+
+def ref_make(a, b, d):
+    root = math.isqrt(d)
+    if root * root == d:
+        return (Fraction(a) + Fraction(b) * root, Fraction(0), 1)
+    return (Fraction(a), Fraction(b), d)
+
+
+def ref_radicand(x, y):
+    if x[2] == y[2] or y[1] == 0:
+        return x[2]
+    if x[1] == 0:
+        return y[2]
+    return None
+
+
+def ref_add(x, y, d):
+    return (x[0] + y[0], x[1] + y[1], d)
+
+
+def ref_mul(x, y, d):
+    return (x[0] * y[0] + x[1] * y[1] * d, x[0] * y[1] + x[1] * y[0], d)
+
+
+def ref_div(x, y, d):
+    norm = y[0] * y[0] - y[1] * y[1] * d
+    return ref_mul(x, (y[0] / norm, -y[1] / norm, d), d)
+
+
+def ref_sign(x):
+    a, b, d = x
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sa == 0 or sb == 0 or sa == sb:
+        return sa or sb
+    # opposite signs; a^2 = b^2 d would make sqrt(d) rational
+    return sa if a * a > b * b * d else sb
+
+
+def ref_str(x):
+    a, b, d = x
+    if b == 0:
+        return str(a)
+    if a == 0:
+        return f"{b}*sqrt({d})"
+    return f"{a} {'+' if b > 0 else '-'} {abs(b)}*sqrt({d})"
+
+
+small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+@st.composite
+def ref_pairs(draw):
+    """A model triple and its QuadNumber, irrational or not at random."""
+    a = draw(small_fractions)
+    b = draw(st.sampled_from([Fraction(0), draw(small_fractions)]))
+    d = draw(st.sampled_from(RADICANDS))
+    return ref_make(a, b, d), QuadNumber(a, b, d)
+
+
+def assert_matches(got, model):
+    assert (got.a, got.b, got.d) == model
+    assert str(got) == ref_str(model)
+    assert repr(got) == f"QuadNumber({model[0]}, {model[1]}, d={model[2]})"
+
+
+class TestReferenceModel:
+    @settings(max_examples=300, deadline=None)
+    @given(ref_pairs())
+    def test_unary(self, pair):
+        model, x = pair
+        assert_matches(x, model)
+        assert_matches(-x, (-model[0], -model[1], model[2]))
+        assert_matches(x.conjugate(), (model[0], -model[1], model[2]))
+        assert x.sign() == ref_sign(model)
+        assert x.is_rational == (model[1] == 0)
+        if model[1] == 0:
+            a = model[0]
+            assert x == a and a == x and hash(x) == hash(a)
+            if a.denominator == 1:
+                assert x == int(a) and hash(x) == hash(int(a))
+            assert x != a + 1
+
+    @settings(max_examples=400, deadline=None)
+    @given(ref_pairs(), ref_pairs())
+    def test_binary(self, left, right):
+        (mx, x), (my, y) = left, right
+        d = ref_radicand(mx, my)
+        if d is None:
+            for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+                with pytest.raises(RadicandMismatch):
+                    op(x, y)
+            with pytest.raises(RadicandMismatch):
+                x < y
+            assert x != y
+            return
+        assert_matches(x + y, ref_add(mx, my, d))
+        assert_matches(x - y, ref_add(mx, (-my[0], -my[1], my[2]), d))
+        assert_matches(x * y, ref_mul(mx, my, d))
+        if my[0] == 0 and my[1] == 0:
+            with pytest.raises(ZeroDivisionError):
+                x / y
+        else:
+            assert_matches(x / y, ref_div(mx, my, d))
+        diff = ref_sign(ref_add(mx, (-my[0], -my[1], my[2]), d))
+        assert (x < y, x <= y, x > y, x >= y) == (diff < 0, diff <= 0, diff > 0, diff >= 0)
+        assert (x == y) == (diff == 0)
+        if x == y:
+            assert hash(x) == hash(y)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ref_pairs(), small_fractions, st.integers(-6, 6))
+    def test_rational_operands(self, pair, f, n):
+        model, x = pair
+        for r in (f, n):
+            rm = (Fraction(r), Fraction(0), model[2])
+            assert_matches(x + r, ref_add(model, rm, model[2]))
+            assert_matches(r - x, ref_add(rm, (-model[0], -model[1], model[2]), model[2]))
+            assert_matches(r * x, ref_mul(rm, model, model[2]))
+            if r:
+                assert_matches(x / r, ref_div(model, rm, model[2]))
+            if not x.is_zero:
+                assert_matches(r / x, ref_div(rm, model, model[2]))
+            diff = ref_sign(ref_add(model, (-rm[0], 0, model[2]), model[2]))
+            assert (x < r, x > r, x == r) == (diff < 0, diff > 0, diff == 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_fractions, st.sampled_from([2, 3, 5, 12]), ref_pairs())
+    def test_rational_takes_the_radicand(self, f, d, pair):
+        # a rational over one radicand meets a number over another
+        model, x = pair
+        r = QuadNumber(f, 0, d)
+        if model[1] != 0:
+            assert (r + x).d == model[2] and (x * r).d == model[2]
+        else:
+            assert (r + x).d == d and (x * r).d == model[2]
+        equal = QuadNumber(model[0], 0, d) if model[1] == 0 else x
+        assert equal == x and hash(equal) == hash(x)

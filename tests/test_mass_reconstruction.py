@@ -8,7 +8,9 @@ from k3lax import (
     BWParams,
     MassOracle,
     MukaiVector,
+    QuadNumber,
     SearchBox,
+    closed_form_Z,
     companion_classes,
     cross_terms,
     enumerate_spherical,
@@ -132,6 +134,22 @@ class TestExactRoundtrip:
         )
         assert rec_conj == rec
         assert in_P_plus(rho1_d1, rec_conj.omega)
+
+    def test_irrational_masses(self, rho1_d2):
+        # B = 1/3, alpha = 1/2 + sqrt(2)/3: masses such as 65/36 + (2/9)sqrt(2)
+        basis = good_basis(rho1_d2, SearchBox(8, 8, 40))
+        B = (Fraction(1, 3),)
+        alpha = QuadNumber(Fraction(1, 2), Fraction(1, 3), 2)
+        oracle = MassOracle.from_charge(rho1_d2, omega_from_bw(rho1_d2, BWParams(B, alpha)))
+        masses = [oracle.query(cls) for cls in basis.vectors]
+        assert QuadNumber(Fraction(65, 36), Fraction(2, 9), 2) in masses
+        rec = reconstruct(rho1_d2, basis, oracle)
+        gauge = closed_form_Z(rho1_d2, B, alpha, basis.vectors[0])
+        for cls, coefficient in zip(basis.vectors, rec.coefficients):
+            z = closed_form_Z(rho1_d2, B, alpha, cls) / gauge
+            assert (z.re, z.im) == coefficient
+        assert residual(rho1_d2, basis, oracle, rec) == 0
+        assert rec.branch == "conjugate"
 
     def test_branch_labels(self, rho1_d1, basis1):
         conj = reconstruct(
@@ -307,6 +325,64 @@ class TestNonFiniteMasses:
         table[key] = float("nan")
         with pytest.raises(InconsistentMasses, match=re.escape(str(key))):
             residual(rho1_d1, basis1, MassOracle.from_table(table), rec)
+
+
+class TestMassesBeyondDoubles:
+    """A mass too large for a double is inconsistent data naming its
+    class in float mode, on a basis entry (0) and a companion entry (4)."""
+
+    @pytest.fixture
+    def charge_table(self, rho1_d1, basis1):
+        omega = omega_from_bw(rho1_d1, BWParams((Fraction(1, 2),), Fraction(3, 2)))
+        table = _full_table(rho1_d1, basis1, MassOracle.from_charge(rho1_d1, omega))
+        return {k: float(m.a) for k, m in table.items()}
+
+    @pytest.mark.parametrize("huge", [Fraction(10**400), 10**400], ids=["fraction", "int"])
+    @pytest.mark.parametrize("entry", [0, 4])
+    def test_float_reconstruct(self, rho1_d1, basis1, charge_table, entry, huge):
+        key = _entries(rho1_d1, basis1)[entry]
+        charge_table[key] = huge
+        with pytest.raises(InconsistentMasses, match=re.escape(str(key))):
+            reconstruct(rho1_d1, basis1, MassOracle.from_table(charge_table), mode="float")
+
+    @pytest.mark.parametrize("huge", [Fraction(10**400), 10**400], ids=["fraction", "int"])
+    @pytest.mark.parametrize("entry", [0, 4])
+    def test_residual(self, rho1_d1, basis1, charge_table, entry, huge):
+        rec = reconstruct(rho1_d1, basis1, MassOracle.from_table(charge_table), mode="float")
+        key = _entries(rho1_d1, basis1)[entry]
+        charge_table[key] = huge
+        with pytest.raises(InconsistentMasses, match=re.escape(str(key))):
+            residual(rho1_d1, basis1, MassOracle.from_table(charge_table), rec)
+
+
+class TestFractionBudget:
+    """Exact reconstruction runs on the integers of QuadNumber: one
+    reconstruct plus residual builds at most a quarter of the Fractions
+    it built when QuadNumber held a pair of Fractions (2272, 2272 and
+    3613 at B = (-2/3, ...), alpha = 5/2)."""
+
+    BUDGET = {"rho1-d1": 568, "rho1-d2": 568, "rho2-d1": 903}
+
+    @pytest.mark.parametrize("lattice", ["rho1_d1", "rho1_d2", "rho2_d1"])
+    def test_reconstruct_and_residual(self, request, monkeypatch, lattice):
+        lat = request.getfixturevalue(lattice)
+        basis = good_basis(lat, SearchBox(8, 8, 40))
+        B = (Fraction(-2, 3),) * lat.rank
+        oracle = MassOracle.from_charge(lat, omega_from_bw(lat, BWParams(B, Fraction(5, 2))))
+        built = 0
+        new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            nonlocal built
+            built += 1
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+        rec = reconstruct(lat, basis, oracle)
+        left = residual(lat, basis, oracle, rec)
+        monkeypatch.undo()
+        assert left == 0
+        assert built <= self.BUDGET[lat.name], f"{built} Fractions built"
 
 
 class TestResidualProbe:
