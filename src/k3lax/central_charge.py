@@ -21,10 +21,11 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import NamedTuple, Sequence
 
+from ._value import Value
 from .spherical_enum import SearchBox, enumerate_spherical
 from .errors import DimensionError, DomainError, EmptySupport, RadicandMismatch
 from .mukai_lattice import (
@@ -39,8 +40,7 @@ from .mukai_lattice import (
 from .exact_scalars import QuadComplex, QuadNumber, quad_sign, try_sqrt
 
 
-@dataclass(frozen=True)
-class BWParams:
+class BWParams(Value):
     """A rational B-field and a positive scale alpha along the polarization."""
 
     b_field: tuple[Fraction, ...]
@@ -52,8 +52,7 @@ class BWParams:
         )
 
 
-@dataclass(frozen=True)
-class OmegaVector:
+class OmegaVector(Value):
     """Complexified Mukai vector of a charge.  Components are exact, or
     Python `complex` for a charge reconstructed in float mode; only
     `compile_charge` and what is built on it need exact ones."""
@@ -113,7 +112,7 @@ def omega_from_bw(lat: NSLattice, params: BWParams) -> OmegaVector:
     return OmegaVector(r, D, QuadComplex(s_re, s_im))
 
 
-class ChargeForms(NamedTuple):
+class ChargeForms(namedtuple("ChargeForms", "denom d re_a re_b im_a im_b")):
     """A charge compiled to four integer linear forms on (r, D, s).
 
     With L = denom clearing every denominator of the characteristic
@@ -123,11 +122,12 @@ class ChargeForms(NamedTuple):
 
     each form an integer tuple indexed like (r, D_0, ..., s).  Built once
     by `compile_charge`, it evaluates a class with four integer dot
-    products and no rational arithmetic.  A NamedTuple, not a frozen
-    dataclass, because defining a dataclass adds about a millisecond to
-    the import that every CLI command pays.
+    products and no rational arithmetic.  A `collections.namedtuple`,
+    which `typing.NamedTuple` would also give but at the import cost of
+    `typing` that every CLI command pays.
     """
 
+    __slots__ = ()
     denom: int
     d: int
     re_a: tuple[int, ...]
@@ -316,8 +316,7 @@ def spherical_wall_hits(
     return hits
 
 
-@dataclass(frozen=True)
-class WallHit:
+class WallHit(Value):
     """One solution alpha of the alignment equation, with its witnesses."""
 
     alpha_sq: Fraction
@@ -325,8 +324,7 @@ class WallHit:
     witnesses: tuple[MukaiVector, ...]
 
 
-@dataclass(frozen=True)
-class WallScan:
+class WallScan(Value):
     hits: tuple[WallHit, ...]
     aligned: tuple[MukaiVector, ...]
 
@@ -422,8 +420,7 @@ def wall_scan_alpha(
     return WallScan(hits, tuple(aligned))
 
 
-@dataclass(frozen=True)
-class SupportBound:
+class SupportBound(Value):
     """Largest ratio (norm / mass)^2 over a box, with the class attaining it."""
 
     ratio_sq: QuadNumber

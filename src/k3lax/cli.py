@@ -15,9 +15,9 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._value import Value
 from . import __version__
 from .central_charge import (
     BWParams,
@@ -80,8 +80,7 @@ _COMMANDS = (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Value):
     command: str
     lattice_path: str | None = None
     box: tuple[int, int, int] = (8, 8, 40)
@@ -103,8 +102,7 @@ class RunConfig:
     search_limit: int = 10**6
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(Value):
     command: str
     inputs: dict
     results: dict

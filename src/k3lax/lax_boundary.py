@@ -14,9 +14,9 @@ counting functional can reproduce projectively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._value import Value
 from .central_charge import closed_form_Z
 from .spherical_enum import SearchBox, delta_mu_plus
 from .errors import (
@@ -44,8 +44,7 @@ from .numbertheory import (
 from .exact_scalars import QuadComplex, QuadNumber
 
 
-@dataclass(frozen=True)
-class LaxPoint:
+class LaxPoint(Value):
     """A boundary charge built from a minimal-rank spherical class.
 
     b0 is the rational B-field D0/r0 and alpha0 the boundary scale
@@ -164,8 +163,7 @@ def chi_functional(lat: NSLattice, a_vector, v) -> int:
     return -mukai_pairing(lat, a_vector, v)
 
 
-@dataclass(frozen=True)
-class IrrationalityCertificate:
+class IrrationalityCertificate(Value):
     """Prime witness that f(x) = a*x^2 + 4 takes values of irrational ratio.
 
     The defining checks: p is a prime congruent to 1 mod 4 exceeding
@@ -269,8 +267,7 @@ def irrationality_certificate(
     return cert
 
 
-@dataclass(frozen=True)
-class SeparationReport:
+class SeparationReport(Value):
     """Why the boundary mass profile is not a counting profile.
 
     Two members of the twisted family carry squared masses whose ratio

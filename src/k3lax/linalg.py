@@ -9,8 +9,8 @@ row span, so downstream constructions never depend on iteration order.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:

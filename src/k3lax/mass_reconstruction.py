@@ -17,9 +17,9 @@ predicate compares against the tolerance, exactly on QuadNumber.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Mapping
+from collections.abc import Callable, Mapping
 
+from ._value import Value
 from .central_charge import OmegaVector, compile_charge, in_P_plus
 from .spherical_enum import GoodBasis, companion_classes
 from .errors import (
@@ -41,8 +41,7 @@ from .linalg import solve_linear
 from .exact_scalars import QuadComplex, QuadNumber, try_sqrt
 
 
-@dataclass(frozen=True)
-class MassOracle:
+class MassOracle(Value):
     """Source of squared masses for spherical classes."""
 
     query: Callable[[SphericalClass], object]
@@ -80,8 +79,7 @@ def cross_terms(c_ij: object, m_i: object, m_j: object, m_ij: object):
     return (m_ij - m_j - c_ij * c_ij * m_i) / (2 * c_ij)
 
 
-@dataclass(frozen=True)
-class ReconstructedCharge:
+class ReconstructedCharge(Value):
     """Gauge-fixed charge values on the basis plus the solved vector.
 
     coefficients[j] is the pair (a_j, b_j) with Z(v_j) = a_j + i b_j in

@@ -15,9 +15,9 @@ simple objects.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
+from ._value import Value
 from .errors import BasisError, DimensionError, LatticeError
 from .linalg import exact_signature, functional_kernel
 
@@ -145,16 +145,27 @@ class NSLattice:
         return f"NSLattice({label})"
 
 
-@dataclass(frozen=True)
-class MukaiVector:
+class MukaiVector(Value):
     """Integer Mukai vector (r, D, s)."""
 
+    __slots__ = ("r", "D", "s")
     r: int
     D: tuple[int, ...]
     s: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "D", tuple(self.D))
+    # built once per candidate class in every box search, so written by hand
+    def __init__(self, r: int, D, s: int):
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "D", tuple(D))
+        object.__setattr__(self, "s", s)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.r == other.r and self.D == other.D and self.s == other.s
+
+    def __hash__(self):
+        return hash((self.r, self.D, self.s))
 
     @property
     def is_zero(self) -> bool:
@@ -168,7 +179,11 @@ class MukaiVector:
         )
 
     def __sub__(self, other: MukaiVector) -> MukaiVector:
-        return self + (-other)
+        return MukaiVector(
+            self.r - other.r,
+            tuple(a - b for a, b in zip(self.D, other.D)),
+            self.s - other.s,
+        )
 
     def __neg__(self) -> MukaiVector:
         return MukaiVector(-self.r, tuple(-c for c in self.D), -self.s)
@@ -184,15 +199,27 @@ class MukaiVector:
         return (self.r, *self.D, self.s)
 
 
-@dataclass(frozen=True)
-class SphericalClass:
+class SphericalClass(Value):
     """A Mukai vector of self-pairing -2.
 
     Construct through `from_vector` to have the pairing checked; the bare
     constructor trusts the caller.
     """
 
+    __slots__ = ("v",)
     v: MukaiVector
+
+    # one per class an enumeration finds, so written by hand like MukaiVector
+    def __init__(self, v: MukaiVector):
+        object.__setattr__(self, "v", v)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.v == other.v
+
+    def __hash__(self):
+        return hash((self.v,))
 
     @classmethod
     def from_vector(cls, lat: NSLattice, v: MukaiVector) -> SphericalClass:
@@ -261,8 +288,7 @@ def line_bundle_vector(lat: NSLattice, D: Sequence[int]) -> MukaiVector:
     return MukaiVector(1, tuple(D), square // 2 + 1)
 
 
-@dataclass(frozen=True)
-class SphericalNormBasis:
+class SphericalNormBasis(Value):
     """A spherical vector v1 together with a basis of its orthogonal complement.
 
     The associated norm |<v1, .>| + sum |<w, .>| over the complement

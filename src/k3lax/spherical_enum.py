@@ -10,9 +10,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._value import Value
 from .errors import BasisError, BoxTooSmall, DomainError
 from .mukai_lattice import (
     MukaiVector,
@@ -26,8 +26,7 @@ from .mukai_lattice import (
 from .linalg import diagonalize, exact_signature, functional_kernel
 
 
-@dataclass(frozen=True)
-class SearchBox:
+class SearchBox(Value):
     """Coordinate bounds |r| <= r_max, |D_i| <= d_bound, |s| <= s_bound."""
 
     r_max: int
@@ -40,7 +39,8 @@ class SearchBox:
             ("d_bound", self.d_bound),
             ("s_bound", self.s_bound),
         ):
-            if not isinstance(bound, int) or bound < 0:
+            # bool is a subclass of int; True must not pass as 1
+            if not isinstance(bound, int) or isinstance(bound, bool) or bound < 0:
                 raise DomainError(f"{label} must be a nonnegative integer, got {bound!r}")
 
     def contains(self, v: MukaiVector) -> bool:
@@ -105,8 +105,7 @@ def delta_mu_plus(
     return found, r0
 
 
-@dataclass(frozen=True)
-class GoodBasis:
+class GoodBasis(Value):
     """rho + 2 spherical classes, pairwise non-orthogonal, spanning the
     rational Mukai lattice.  The head vector plays the role of the gauge
     class in mass reconstruction."""

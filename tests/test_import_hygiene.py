@@ -2,10 +2,11 @@
 it uses.
 
 Every CLI command pays for its imports, so `import k3lax.cli` must not
-pull in mpmath (gone as a dependency) or `concurrent.futures` (the
-thread pool behind --jobs is gone), and the commands that turn exact
-numbers into floats must work with mpmath unavailable.  No module of the
-package imports a name it never references.
+pull in mpmath (gone as a dependency), `concurrent.futures` (the
+thread pool behind --jobs is gone), or `dataclasses`, `inspect` and
+`typing` (about 9 ms together), and the commands that turn exact numbers
+into floats must work with mpmath unavailable.  No module of the package
+imports a name it never references.
 """
 
 import ast
@@ -48,6 +49,24 @@ def test_cli_import_leaves_out_mpmath_and_futures():
         check=True,
     ).stdout
     assert json.loads(out) == []
+
+
+def test_cli_import_leaves_out_dataclasses_and_typing():
+    # -S keeps `site` out: a .pth file of some environments imports typing
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src")
+    probe = (
+        "import sys, k3lax.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def _mass_table(tmp_path):

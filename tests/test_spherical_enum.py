@@ -37,6 +37,12 @@ class TestSearchBox:
         with pytest.raises(DomainError):
             SearchBox(1, Fraction(1, 2), 1)
 
+    @pytest.mark.parametrize("bounds", [(True, 1, 1), (1, False, 1), (1, 1, True)])
+    def test_rejects_booleans(self, bounds):
+        # bool is an int, so True would otherwise pass as the bound 1
+        with pytest.raises(DomainError):
+            SearchBox(*bounds)
+
 
 class TestEnumerateSpherical:
     def test_matches_brute_force(self, rho1_d1, rho1_d2, rho2_d1):
