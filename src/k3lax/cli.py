@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import random
 import sys
 from fractions import Fraction
 
@@ -21,12 +20,9 @@ from ._value import Value
 from . import __version__
 from .central_charge import (
     BWParams,
-    closed_form_Z,
-    eval_Z,
     in_P_plus,
     omega_from_bw,
     spherical_wall_hits,
-    support_constant,
     wall_scan_alpha,
 )
 from .spherical_enum import (
@@ -40,18 +36,13 @@ from .errors import ConfigError, InternalInvariantError, K3LaxError
 from .mukai_lattice import (
     MukaiVector,
     NSLattice,
-    SphericalNormBasis,
     is_spherical,
     mukai_pairing,
-    reflect,
-    tensor_line_bundle,
 )
 from .lax_boundary import (
     build_lax_point,
     family_masses,
-    irrationality_certificate,
     separate_from_hom_functionals,
-    verify_certificate,
 )
 from .mass_reconstruction import MassOracle, reconstruct
 from .reports import (
@@ -64,20 +55,8 @@ from .reports import (
     render_json,
     scalar_json,
 )
-from .exact_scalars import QuadComplex, QuadNumber, try_sqrt
 
 _CSV_COMMANDS = ("enum", "lax")
-_COMMANDS = (
-    "pair",
-    "enum",
-    "basis",
-    "chamber",
-    "walls",
-    "reconstruct",
-    "lax",
-    "separate",
-    "selftest",
-)
 
 
 class RunConfig(Value):
@@ -228,14 +207,6 @@ def _mass_value(raw, mode: str):
     if not math.isfinite(value):
         raise ConfigError(f"mass_sq must be a finite number, got {raw!r}")
     return value
-
-
-def _default_lattices() -> list[NSLattice]:
-    return [
-        NSLattice([[2]], [1], name="rho1-d1"),
-        NSLattice([[4]], [1], name="rho1-d2"),
-        NSLattice([[2, 0], [0, -4]], [1, 0], name="rho2-d1"),
-    ]
 
 
 # ---------------------------------------------------------------- commands
@@ -436,227 +407,21 @@ def _cmd_separate(lat: NSLattice, cfg: RunConfig):
     return inputs, results, None
 
 
-# ---------------------------------------------------------------- selftest
+def _cmd_selftest(lat: None, cfg: RunConfig):
+    # imported here, so that no other command loads the suite or `random`
+    from . import selftest
 
-
-def _selftest_checks(seed: int):
-    rng = random.Random(seed)
-    lats = _default_lattices()
-
-    def random_vector(lat: NSLattice, bound: int = 12) -> MukaiVector:
-        return MukaiVector(
-            rng.randint(-bound, bound),
-            tuple(rng.randint(-bound, bound) for _ in range(lat.rank)),
-            rng.randint(-bound, bound),
-        )
-
-    def check_scalar_field_laws():
-        for _ in range(150):
-            xs = [
-                QuadNumber(
-                    Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-                    Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-                    2,
-                )
-                for _ in range(3)
-            ]
-            x, y, z = xs
-            assert (x + y) + z == x + (y + z)
-            assert (x * y) * z == x * (y * z)
-            assert x * (y + z) == x * y + x * z
-            if not x.is_zero:
-                assert x * (1 / x) == 1
-            root = try_sqrt(x * x)
-            assert root is not None and root * root == x * x
-
-    def check_pairing_bilinear():
-        for lat in lats:
-            for _ in range(60):
-                u, v, w = (random_vector(lat) for _ in range(3))
-                assert mukai_pairing(lat, u, v) == mukai_pairing(lat, v, u)
-                assert mukai_pairing(lat, u + v, w) == mukai_pairing(
-                    lat, u, w
-                ) + mukai_pairing(lat, v, w)
-
-    def check_reflection():
-        for lat in lats:
-            deltas = enumerate_spherical(lat, SearchBox(2, 2, 6))
-            if not deltas:
-                continue
-            for _ in range(40):
-                delta = deltas[rng.randrange(len(deltas))]
-                u, v = random_vector(lat), random_vector(lat)
-                once = reflect(lat, delta, v)
-                assert reflect(lat, delta, once) == v
-                assert mukai_pairing(
-                    lat, reflect(lat, delta, u), reflect(lat, delta, v)
-                ) == mukai_pairing(lat, u, v)
-
-    def check_tensor_action():
-        for lat in lats:
-            for _ in range(40):
-                v = random_vector(lat)
-                w = random_vector(lat)
-                k1, k2 = rng.randint(-4, 4), rng.randint(-4, 4)
-                step = tensor_line_bundle(lat, k2, tensor_line_bundle(lat, k1, v))
-                assert step == tensor_line_bundle(lat, k1 + k2, v)
-                assert mukai_pairing(
-                    lat,
-                    tensor_line_bundle(lat, k1, v),
-                    tensor_line_bundle(lat, k1, w),
-                ) == mukai_pairing(lat, v, w)
-
-    def check_enumeration_oracle():
-        box = SearchBox(2, 2, 6)
-        for lat in lats:
-            found = {cls.v for cls in enumerate_spherical(lat, box)}
-            brute = set()
-            span = range(-box.d_bound, box.d_bound + 1)
-            import itertools as it
-
-            for r in range(-box.r_max, box.r_max + 1):
-                for D in it.product(span, repeat=lat.rank):
-                    for s in range(-box.s_bound, box.s_bound + 1):
-                        v = MukaiVector(r, D, s)
-                        if mukai_pairing(lat, v, v) == -2:
-                            brute.add(v)
-            assert found == brute
-
-    def check_good_basis():
-        for lat in lats:
-            basis = good_basis(lat, SearchBox(8, 8, 40))
-            basis.validate(lat)
-            companions = companion_classes(lat, basis)
-            assert all(
-                is_spherical(lat, w) for w in companions.values()
-            )
-
-    def check_charge_forms_agree():
-        for lat in lats:
-            for _ in range(30):
-                b = tuple(
-                    Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-                    for _ in range(lat.rank)
-                )
-                alpha = Fraction(rng.randint(1, 8), rng.randint(1, 4))
-                omega = omega_from_bw(lat, BWParams(b, alpha))
-                v = random_vector(lat)
-                assert eval_Z(lat, omega, v) == closed_form_Z(lat, b, alpha, v)
-                assert in_P_plus(lat, omega)
-                assert not in_P_plus(lat, omega.conjugate())
-
-    def check_lax_discreteness():
-        for lat in lats:
-            lp = build_lax_point(lat, Fraction(0), SearchBox(4, 4, 12))
-            from .lax_boundary import z_alpha0 as z0
-
-            assert z0(lp, lp.delta0).is_zero
-            for _ in range(40):
-                z0(lp, random_vector(lat))
-            family_masses(lp, -6, 6)
-
-    def check_certificates():
-        for a in range(1, 13):
-            verify_certificate(irrationality_certificate(a))
-
-    def check_reconstruction_roundtrip():
-        for lat in lats:
-            basis = good_basis(lat, SearchBox(8, 8, 40))
-            b = tuple(
-                Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-                for _ in range(lat.rank)
-            )
-            alpha = Fraction(rng.randint(1, 6), rng.randint(1, 3))
-            hidden = omega_from_bw(lat, BWParams(b, alpha))
-            oracle = MassOracle.from_charge(lat, hidden)
-            charge = reconstruct(lat, basis, oracle, mode="exact")
-            assert charge.residual == 0
-            gauge = eval_Z(lat, hidden, basis.vectors[0]).norm_square()
-            for cls, (a_c, b_c) in zip(basis.vectors, charge.coefficients):
-                recovered = eval_Z(lat, charge.omega, cls)
-                assert recovered.norm_square() == eval_Z(
-                    lat, hidden, cls
-                ).norm_square() / gauge
-                assert recovered == QuadComplex(a_c, b_c)
-
-    def check_wall_scan_equation():
-        lat = lats[0]
-        lp = build_lax_point(lat, Fraction(0), SearchBox(4, 4, 12))
-        scan = wall_scan_alpha(lat, lp.b0, lp.delta0, lp.alpha0, SearchBox(4, 4, 12))
-        d = lat.degree
-        for hit in scan.hits:
-            for w in hit.witnesses:
-                i_w = Fraction(lat.dot_ample(w.D)) - w.r * Fraction(lat.dot_ample(lp.b0))
-                c_w = (
-                    Fraction(lat.dot(lp.b0, w.D))
-                    - w.s
-                    - Fraction(w.r) * Fraction(lat.dot(lp.b0, lp.b0)) / 2
-                )
-                dv = lp.delta0.v
-                i_d = Fraction(lat.dot_ample(dv.D)) - dv.r * Fraction(lat.dot_ample(lp.b0))
-                c_d = (
-                    Fraction(lat.dot(lp.b0, dv.D))
-                    - dv.s
-                    - Fraction(dv.r) * Fraction(lat.dot(lp.b0, lp.b0)) / 2
-                )
-                lhs = hit.alpha_sq * d * (i_w * dv.r - i_d * w.r) + (
-                    i_w * c_d - i_d * c_w
-                )
-                assert lhs == 0
-
-    def check_support_monotone():
-        lat = lats[0]
-        lp = build_lax_point(lat, Fraction(0), SearchBox(4, 4, 12))
-        basis = SphericalNormBasis.build(lat, lp.delta0)
-        omega = omega_from_bw(lat, BWParams(lp.b0, lp.alpha0))
-        previous = None
-        for bound in ((2, 2, 6), (3, 3, 9), (4, 4, 12)):
-            current = support_constant(lat, basis, omega, SearchBox(*bound)).ratio_sq
-            if previous is not None:
-                assert current >= previous
-            previous = current
-
-    return [
-        ("scalar field laws", check_scalar_field_laws),
-        ("pairing symmetric and bilinear", check_pairing_bilinear),
-        ("reflections are involutive isometries", check_reflection),
-        ("twists form an isometric action", check_tensor_action),
-        ("enumeration matches brute force", check_enumeration_oracle),
-        ("good bases validate", check_good_basis),
-        ("charge forms agree and orient", check_charge_forms_agree),
-        ("boundary values are discrete", check_lax_discreteness),
-        ("certificates verify", check_certificates),
-        ("mass reconstruction round-trips", check_reconstruction_roundtrip),
-        ("wall roots solve the alignment equation", check_wall_scan_equation),
-        ("support bound grows with the box", check_support_monotone),
-    ]
-
-
-def _cmd_selftest(cfg: RunConfig):
-    checks = []
-    failed = 0
-    for name, fn in _selftest_checks(cfg.seed):
-        try:
-            fn()
-            checks.append({"name": name, "passed": True})
-        except Exception as exc:  # noqa: BLE001 - report, do not crash
-            failed += 1
-            checks.append(
-                {
-                    "name": name,
-                    "passed": False,
-                    "details": f"{type(exc).__name__}: {exc}",
-                }
-            )
-    results = {
-        "checks": checks,
-        "passed": len(checks) - failed,
-        "failed": failed,
-    }
-    return {}, results, None
+    return {}, selftest.run_checks(cfg.seed), None
 
 
 # ---------------------------------------------------------------- driver
+
+
+_HANDLERS = {
+    "pair": _cmd_pair, "enum": _cmd_enum, "basis": _cmd_basis, "chamber": _cmd_chamber,
+    "walls": _cmd_walls, "reconstruct": _cmd_reconstruct, "lax": _cmd_lax,
+    "separate": _cmd_separate, "selftest": _cmd_selftest,
+}
 
 
 def _execute(config: RunConfig):
@@ -665,7 +430,7 @@ def _execute(config: RunConfig):
     The table part is None unless the command produced a tabular slice
     for csv rendering.
     """
-    if config.command not in _COMMANDS:
+    if config.command not in _HANDLERS:
         raise ConfigError(f"unknown command {config.command!r}")
     if config.mode not in ("exact", "float"):
         raise ConfigError(f"--mode must be exact or float, got {config.mode!r}")
@@ -689,27 +454,14 @@ def _execute(config: RunConfig):
     for label, value in (("--alpha", config.alpha), ("--alpha-min", config.alpha_min)):
         if value is not None and value <= 0:
             raise ConfigError(f"{label} must be positive, got {value}")
-    if config.command == "selftest":
-        inputs, results, table = _cmd_selftest(config)
-        lattice_label = None
-    else:
+    lat = None
+    if config.command != "selftest":
         if config.lattice_path is None:
             raise ConfigError(f"{config.command} needs --lattice")
         lat = load_lattice(config.lattice_path)
-        handler = {
-            "pair": _cmd_pair,
-            "enum": _cmd_enum,
-            "basis": _cmd_basis,
-            "chamber": _cmd_chamber,
-            "walls": _cmd_walls,
-            "reconstruct": _cmd_reconstruct,
-            "lax": _cmd_lax,
-            "separate": _cmd_separate,
-        }[config.command]
-        inputs, results, table = handler(lat, config)
-        lattice_label = config.lattice_path
+    inputs, results, table = _HANDLERS[config.command](lat, config)
     inputs = dict(inputs)
-    inputs["lattice"] = lattice_label
+    inputs["lattice"] = None if lat is None else config.lattice_path
     if config.mode == "float":
         inputs["tolerance"] = float_str(config.tolerance)
     report = Report(
@@ -781,7 +533,6 @@ def _build_parser() -> argparse.ArgumentParser:
     option(common, "--lattice", dest="lattice_path", help="path to a lattice JSON file")
     option(common, "--box", _parse_box, help="search bounds R,D,S")
     option(common, "--mode", choices=("exact", "float"))
-    option(common, "--seed", type=int)
     option(common, "--out", dest="output", choices=("json", "csv"))
     option(common, "--tol", dest="tolerance", type=float)
     option(common, "--jobs", type=int)
@@ -819,7 +570,8 @@ def _build_parser() -> argparse.ArgumentParser:
     option(p, "--mu", _parse_fraction, required=True, help="slope of the boundary class")
     option(p, "--search-limit", type=int)
 
-    sub.add_parser("selftest", parents=[common], help="run the built-in invariant suite")
+    p = sub.add_parser("selftest", parents=[common], help="run the built-in invariant suite")
+    option(p, "--seed", type=int)
     return parser
 
 

@@ -189,7 +189,8 @@ class MukaiVector(Value):
         return MukaiVector(-self.r, tuple(-c for c in self.D), -self.s)
 
     def __mul__(self, k: int) -> MukaiVector:
-        if not isinstance(k, int):
+        # bool is a subclass of int, so True would otherwise scale by 1
+        if not isinstance(k, int) or isinstance(k, bool):
             return NotImplemented
         return MukaiVector(k * self.r, tuple(k * c for c in self.D), k * self.s)
 
@@ -271,7 +272,7 @@ def tensor_line_bundle(lat: NSLattice, ell: int, v) -> MukaiVector:
     (r, D, s) |-> (r, D + ell*r*H, s + ell*(H . D) + d*ell^2*r); these
     maps form a Z-action by isometries.
     """
-    if not isinstance(ell, int):
+    if not isinstance(ell, int) or isinstance(ell, bool):
         raise DimensionError(f"twist exponent must be an integer, got {ell!r}")
     v = as_vector(v)
     H = lat.ample_class

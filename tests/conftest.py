@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction
 
@@ -12,7 +11,6 @@ from k3lax import (
     SearchBox,
     companion_classes,
     good_basis,
-    mukai_pairing,
     omega_from_bw,
 )
 
@@ -43,20 +41,6 @@ def random_vector(rng: random.Random, rank: int, bound: int = 15) -> MukaiVector
         tuple(rng.randint(-bound, bound) for _ in range(rank)),
         rng.randint(-bound, bound),
     )
-
-
-def brute_force_spherical(lat: NSLattice, box: SearchBox) -> set[MukaiVector]:
-    """Reference enumeration: the naive triple loop, nothing shared with
-    the package's double-loop implementation."""
-    out = set()
-    span = range(-box.d_bound, box.d_bound + 1)
-    for r in range(-box.r_max, box.r_max + 1):
-        for D in itertools.product(span, repeat=lat.rank):
-            for s in range(-box.s_bound, box.s_bound + 1):
-                v = MukaiVector(r, D, s)
-                if mukai_pairing(lat, v, v) == -2:
-                    out.add(v)
-    return out
 
 
 def mass_table_entries() -> list[dict]:

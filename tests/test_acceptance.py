@@ -4,6 +4,8 @@ printed pass/fail line each (run with -s or read the -v test lines).
 Frozen numbers (wall-scan sizes, support ratios) were computed once with
 an independent re-check of the defining equations and are asserted
 exactly; a change in any of them is a behavior change, not noise.
+Criteria 01, 02, 04, 06, 08 and 09 run the checks of `k3lax selftest`
+at larger sizes and their own seeds.
 """
 
 import random
@@ -13,32 +15,26 @@ from fractions import Fraction
 from pathlib import Path
 
 from k3lax import (
-    BWParams,
-    MassOracle,
     MukaiVector,
-    QuadComplex,
-    QuadNumber,
     SearchBox,
-    SphericalNormBasis,
     build_lax_point,
-    enumerate_spherical,
-    eval_Z,
-    good_basis,
-    in_P_plus,
     irrationality_certificate,
-    mukai_pairing,
-    omega_from_bw,
-    reconstruct,
-    reflect,
-    support_constant,
     tensor_line_bundle,
     wall_scan_alpha,
     z_alpha0,
 )
 from k3lax import cli
 from k3lax.cli import RunConfig
-
-from conftest import brute_force_spherical, random_vector
+from k3lax.selftest import (
+    check_enumeration_oracle,
+    check_lax_discreteness,
+    check_pairing_bilinear,
+    check_reconstruction_roundtrip,
+    check_reflection,
+    check_support_monotone,
+    check_tensor_action,
+    check_wall_scan_equation,
+)
 
 BOX = SearchBox(8, 8, 40)
 LATTICE_DIR = Path(__file__).resolve().parents[1] / "lattices"
@@ -60,38 +56,8 @@ def test_criterion_01_lattice_invariants(all_lattices):
     with _criterion(1, "core lattice invariants on 10^4 seeded vectors per lattice"):
         start = time.perf_counter()
         rng = random.Random(101)
-        for lat in all_lattices:
-            axes = [
-                MukaiVector(1, (0,) * lat.rank, 1),
-                tensor_line_bundle(lat, 1, MukaiVector(1, (0,) * lat.rank, 1)),
-                tensor_line_bundle(lat, -2, MukaiVector(1, (0,) * lat.rank, 1)),
-            ]
-            for i in range(10_000):
-                u = random_vector(rng, lat.rank)
-                v = random_vector(rng, lat.rank)
-                w = random_vector(rng, lat.rank)
-                k = rng.randint(-6, 6)
-                uv = mukai_pairing(lat, u, v)
-                assert uv == mukai_pairing(lat, v, u)
-                assert mukai_pairing(lat, u + v, w) == mukai_pairing(
-                    lat, u, w
-                ) + mukai_pairing(lat, v, w)
-                assert mukai_pairing(lat, k * u, v) == k * uv
-                delta = axes[i % 3]
-                once = reflect(lat, delta, v)
-                assert reflect(lat, delta, once) == v
-                assert mukai_pairing(
-                    lat, reflect(lat, delta, u), once
-                ) == uv
-                k2 = rng.randint(-6, 6)
-                assert tensor_line_bundle(
-                    lat, k2, tensor_line_bundle(lat, k, v)
-                ) == tensor_line_bundle(lat, k + k2, v)
-                assert mukai_pairing(
-                    lat,
-                    tensor_line_bundle(lat, k, u),
-                    tensor_line_bundle(lat, k, v),
-                ) == uv
+        for check in (check_pairing_bilinear, check_reflection, check_tensor_action):
+            check(rng, all_lattices, samples=10_000)
         assert time.perf_counter() - start < 5.0
 
 
@@ -105,10 +71,7 @@ def test_criterion_02_enumeration_matches_brute_force(all_lattices):
             SearchBox(5, 2, 20),
             SearchBox(8, 8, 40),
         ]
-        for lat in all_lattices:
-            for box in boxes:
-                found = {cls.v for cls in enumerate_spherical(lat, box)}
-                assert found == brute_force_spherical(lat, box)
+        check_enumeration_oracle(random.Random(102), all_lattices, boxes=boxes)
 
 
 def test_criterion_03_minimal_rank_boundary_data(rho1_d1):
@@ -126,19 +89,7 @@ def test_criterion_03_minimal_rank_boundary_data(rho1_d1):
 
 def test_criterion_04_discrete_boundary_values(all_lattices):
     with _criterion(4, "boundary values stay in the discrete subgroup, 10^3 per lattice"):
-        rng = random.Random(104)
-        for lat in all_lattices:
-            lp = build_lax_point(lat, Fraction(0), BOX)
-            sqrt_d = QuadNumber.sqrt_radicand(lp.d)
-            r0_sq = lp.r0 * lp.r0
-            for _ in range(1_000):
-                v = random_vector(rng, lat.rank)
-                z = z_alpha0(lp, v)
-                re_scaled = z.re * r0_sq
-                im_scaled = z.im * sqrt_d * r0_sq
-                for part in (re_scaled, im_scaled):
-                    assert part.is_rational
-                    assert part.a.denominator == 1
+        check_lax_discreteness(random.Random(104), all_lattices, samples=1_000, box=BOX)
 
 
 def test_criterion_05_twisted_family_masses(all_lattices, rho1_d1):
@@ -158,42 +109,7 @@ def test_criterion_05_twisted_family_masses(all_lattices, rho1_d1):
 def test_criterion_06_reconstruction_round_trip(all_lattices):
     with _criterion(6, "mass data round-trips to the oriented charge, 100 per lattice"):
         start = time.perf_counter()
-        rng = random.Random(106)
-        for lat in all_lattices:
-            basis = good_basis(lat, BOX)
-            resolved = 0
-            samples = 0
-            while samples < 100:
-                b = tuple(
-                    Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-                    for _ in range(lat.rank)
-                )
-                alpha = Fraction(rng.randint(1, 6), rng.randint(1, 3))
-                hidden = omega_from_bw(lat, BWParams(b, alpha))
-                gauge_value = eval_Z(lat, hidden, basis.vectors[0])
-                if gauge_value.is_zero:
-                    continue
-                samples += 1
-                oracle = MassOracle.from_charge(lat, hidden)
-                rec = reconstruct(lat, basis, oracle)
-                assert rec.residual == 0
-                # gauge-normalized targets recomputed from the hidden
-                # charge, bypassing the reconstruction path entirely
-                for j, cls in enumerate(basis.vectors):
-                    expected = eval_Z(lat, hidden, cls) / gauge_value
-                    a_j, b_j = rec.coefficients[j]
-                    assert QuadComplex(a_j, b_j) == expected
-                    assert eval_Z(lat, rec.omega, cls) == expected
-
-                approx = reconstruct(lat, basis, oracle, mode="float")
-                assert approx.residual <= 1e-9
-
-                conj = reconstruct(
-                    lat, basis, MassOracle.from_charge(lat, hidden.conjugate())
-                )
-                if conj == rec and in_P_plus(lat, conj.omega):
-                    resolved += 1
-            assert resolved == 100
+        check_reconstruction_roundtrip(random.Random(106), all_lattices, samples=100)
         assert time.perf_counter() - start < 10.0
 
 
@@ -243,55 +159,22 @@ def test_criterion_08_wall_scan_baselines(rho1_d1):
     with _criterion(8, "wall scans are finite, exact, and match frozen sizes"):
         box = SearchBox(6, 6, 40)
         lp = build_lax_point(rho1_d1, Fraction(0), box)
-        d = rho1_d1.degree
-
-        def invariants(v):
-            i_v = Fraction(rho1_d1.dot_ample(v.D)) - v.r * Fraction(
-                rho1_d1.dot_ample(lp.b0)
-            )
-            c_v = (
-                Fraction(rho1_d1.dot(lp.b0, v.D))
-                - v.s
-                - v.r * Fraction(rho1_d1.dot(lp.b0, lp.b0)) / 2
-            )
-            return i_v, c_v
-
-        alpha0_sq = Fraction(1)
-
         scan0 = wall_scan_alpha(rho1_d1, lp.b0, lp.delta0, lp.alpha0, box)
         assert scan0.hits == ()
         assert len(scan0.aligned) == 526
 
-        delta1 = tensor_line_bundle(rho1_d1, 1, lp.delta0)
-        scan1 = wall_scan_alpha(rho1_d1, lp.b0, delta1, lp.alpha0, box)
+        # against delta0 twisted once; every root solves the alignment equation
+        [scan1] = check_wall_scan_equation(random.Random(108), [rho1_d1], box=box)
         assert len(scan1.hits) == 258
         assert scan1.aligned == ()
         assert sum(len(h.witnesses) for h in scan1.hits) == 2049
         assert scan1.hits[0].alpha_sq == Fraction(13, 12)
-        i_d, c_d = invariants(delta1)
-        for hit in scan1.hits:
-            assert hit.alpha_sq > alpha0_sq
-            for w in hit.witnesses:
-                i_w, c_w = invariants(w)
-                assert hit.alpha_sq * d * (i_w * delta1.r - i_d * w.r) + (
-                    i_w * c_d - i_d * c_w
-                ) == 0
 
 
 def test_criterion_09_support_bound_monotone(rho1_d1):
     with _criterion(9, "support bound is finite, nondecreasing, at frozen values"):
-        lp = build_lax_point(rho1_d1, Fraction(0), BOX)
-        basis = SphericalNormBasis.build(rho1_d1, lp.delta0)
-        omega = omega_from_bw(rho1_d1, BWParams(lp.b0, lp.alpha0))
-        frozen = [Fraction(36, 5), Fraction(36, 5), Fraction(36, 5)]
-        previous = None
-        for bounds, expected in zip(((2, 2, 6), (3, 3, 9), (4, 4, 12)), frozen):
-            bound = support_constant(rho1_d1, basis, omega, SearchBox(*bounds))
-            assert bound.ratio_sq == expected
-            assert bound.value == bound.value and bound.value < float("inf")
-            if previous is not None:
-                assert bound.ratio_sq >= previous
-            previous = bound.ratio_sq
+        ratios = check_support_monotone(random.Random(109), [rho1_d1])
+        assert ratios == [[Fraction(36, 5), Fraction(36, 5), Fraction(36, 5)]]
 
 
 def test_criterion_10_report_determinism():

@@ -12,7 +12,7 @@ from k3lax import (
     good_basis,
     omega_from_bw,
 )
-from k3lax import cli
+from k3lax import cli, selftest
 from k3lax.cli import RunConfig, load_lattice, main, render_report, run
 from k3lax.errors import ConfigError, LatticeError
 
@@ -338,7 +338,7 @@ class TestMain:
         "argv, message",
         [
             (["enum", "--lattice", R1D1, "--mode", "bogus"], "--mode: invalid choice"),
-            (["enum", "--lattice", R1D1, "--seed", "x"], "--seed: invalid int value"),
+            (["selftest", "--seed", "x"], "--seed: invalid int value"),
             (["pair", "--lattice", R1D1, "--v", "1,0,1"], "required: --u"),
         ],
         ids=["bad-choice", "bad-int", "missing-required"],
@@ -379,13 +379,10 @@ class TestMain:
         }
 
     def test_selftest_failure_exits_4(self, capsys, monkeypatch):
-        def broken(seed):
-            def boom():
-                raise AssertionError("forced")
+        def boom(rng, lattices):
+            raise AssertionError("forced")
 
-            return [("forced failure", boom)]
-
-        monkeypatch.setattr(cli, "_selftest_checks", broken)
+        monkeypatch.setattr(selftest, "CHECKS", [("forced failure", boom)])
         code, out = self._capture(capsys, ["selftest"])
         assert code == 4
         payload = json.loads(out)

@@ -5,7 +5,7 @@ up to three flag values with junk or drops the flags, and may point
 --lattice or --mass-table at a mutated JSON file.  The run goes
 in-process through `cli.main`.  The contract: `main` returns 0, 2 or
 3, and prints a JSON error body on stdout whenever the exit is non-zero,
-argparse's own usage errors (unknown choices, non-integer --seed and the
+argparse's own usage errors (unknown choices, non-integer --jobs and the
 like) included.
 
 Sizes stay small on purpose: --box is never dropped and its well-formed
@@ -60,7 +60,6 @@ VALUES = {
     "--box": _joined(st.integers(0, 4), min_size=3, max_size=3),
     "--mode": st.sampled_from(["exact", "float"]),
     "--out": st.sampled_from(["json", "json", "csv"]),
-    "--seed": INT,
     "--tol": st.sampled_from(["1e-9", "1e-3", "0", "-1", "1e300", "nan", "inf"]),
     "--jobs": st.integers(1, 3).map(str),
     "--u": VECTOR,
@@ -74,7 +73,7 @@ VALUES = {
     "--l-max": INT,
     "--search-limit": st.integers(-1, 50).map(str),
 }
-COMMON = ["--mode", "--out", "--seed", "--tol", "--jobs"]
+COMMON = ["--mode", "--out", "--tol", "--jobs"]
 # per command: flags always given, and groups of which one is given
 FLAGS = {
     "pair": (["--u", "--v"], [[]]),

@@ -3,10 +3,11 @@ it uses.
 
 Every CLI command pays for its imports, so `import k3lax.cli` must not
 pull in mpmath (gone as a dependency), `concurrent.futures` (the
-thread pool behind --jobs is gone), or `dataclasses`, `inspect` and
-`typing` (about 9 ms together), and the commands that turn exact numbers
-into floats must work with mpmath unavailable.  No module of the package
-imports a name it never references.
+thread pool behind --jobs is gone), `dataclasses`, `inspect` and
+`typing` (about 9 ms together), or `random` and the selftest suite, which
+only `selftest` loads.  The commands that turn exact numbers into floats
+must work with mpmath unavailable.  No module of the package imports a
+name it never references.
 """
 
 import ast
@@ -62,6 +63,22 @@ def test_cli_import_leaves_out_dataclasses_and_typing():
     out = subprocess.run(
         [sys.executable, "-S", "-c", probe],
         env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "[]"
+
+
+def test_cli_import_leaves_out_random_and_selftest():
+    # -S as above: a .pth file of some environments imports random
+    probe = (
+        "import sys, k3lax.cli; "
+        "print(sorted({'random', 'k3lax.selftest'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         capture_output=True,
         text=True,
         check=True,

@@ -97,6 +97,12 @@ class TestPairing:
                 ) + mukai_pairing(lat, v, w)
                 assert mukai_pairing(lat, k * u, v) == k * mukai_pairing(lat, u, v)
 
+    def test_vector_rejects_bool_scalar(self):
+        v = MukaiVector(1, (2,), 3)
+        assert v.__mul__(True) is NotImplemented
+        with pytest.raises(TypeError):
+            True * v
+
     def test_mismatched_rank(self, rho2_d1):
         with pytest.raises(DimensionError):
             mukai_pairing(rho2_d1, MukaiVector(1, (0,), 1), MukaiVector(1, (0,), 1))
@@ -187,6 +193,11 @@ class TestTensorLineBundle:
     def test_rejects_noninteger_exponent(self, rho1_d1):
         with pytest.raises(DimensionError):
             tensor_line_bundle(rho1_d1, 1.5, MukaiVector(1, (0,), 1))
+
+    def test_rejects_bool_exponent(self, rho1_d1):
+        # bool is an int, so True would otherwise twist once
+        with pytest.raises(DimensionError):
+            tensor_line_bundle(rho1_d1, True, MukaiVector(1, (0,), 1))
 
 
 class TestLineBundleVector:

@@ -16,9 +16,8 @@ from k3lax import (
 )
 from k3lax.errors import BasisError, BoxTooSmall, DomainError
 from k3lax.mukai_lattice import NSLattice
+from k3lax.selftest import brute_force_spherical
 from k3lax.spherical_enum import _orthogonal_complement_of_ample
-
-from conftest import brute_force_spherical
 
 
 class TestSearchBox:
