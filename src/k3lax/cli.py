@@ -96,20 +96,20 @@ class Report(Value):
         }
 
 
-def load_lattice(path: str) -> NSLattice:
-    """Read a lattice description file; parse errors carry the position."""
+def _read_json(path: str, what: str):
+    """Parse a JSON file; parse errors carry the position."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read lattice file {path}: {exc}")
-    try:
-        data = json.loads(text)
+        raise ConfigError(f"cannot read {what} {path}: {exc}")
     except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
-        )
-    return NSLattice.from_dict(data)
+        raise ConfigError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
+
+
+def load_lattice(path: str) -> NSLattice:
+    """Read a lattice description file."""
+    return NSLattice.from_dict(_read_json(path, "lattice file"))
 
 
 def _parse_fraction(text: str, label: str) -> Fraction:
@@ -163,13 +163,7 @@ def _b_field(cfg: RunConfig, lat: NSLattice) -> tuple[Fraction, ...]:
 
 
 def _load_mass_table(path: str, mode: str) -> dict[MukaiVector, object]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read mass table {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
+    data = _read_json(path, "mass table")
     if not isinstance(data, dict) or not isinstance(data.get("masses"), list):
         raise ConfigError("mass table must be an object with a 'masses' list")
     table: dict[MukaiVector, object] = {}
@@ -418,9 +412,15 @@ def _cmd_selftest(lat: None, cfg: RunConfig):
 
 
 _HANDLERS = {
-    "pair": _cmd_pair, "enum": _cmd_enum, "basis": _cmd_basis, "chamber": _cmd_chamber,
-    "walls": _cmd_walls, "reconstruct": _cmd_reconstruct, "lax": _cmd_lax,
-    "separate": _cmd_separate, "selftest": _cmd_selftest,
+    "pair": _cmd_pair,
+    "enum": _cmd_enum,
+    "basis": _cmd_basis,
+    "chamber": _cmd_chamber,
+    "walls": _cmd_walls,
+    "reconstruct": _cmd_reconstruct,
+    "lax": _cmd_lax,
+    "separate": _cmd_separate,
+    "selftest": _cmd_selftest,
 }
 
 

@@ -1,21 +1,46 @@
-"""The invariant suite of `k3lax selftest`.  A check takes a seeded generator and a list of
-lattices; the acceptance gate passes larger sizes as keywords.  A check raises through
-`expect`, never assert, so that the suite checks under `python -O` too."""
+"""The invariant suite of `k3lax selftest`.  A check takes a seeded generator
+and a list of lattices; the acceptance gate passes larger sizes as keywords.
+A check raises through `expect`, never assert, so that the suite checks under
+`python -O` too."""
 
 import itertools
 import random
 from fractions import Fraction
 
-from .central_charge import (BWParams, closed_form_Z, eval_Z, in_P_plus, omega_from_bw,
-                             support_constant, wall_scan_alpha)
+from .central_charge import (
+    BWParams,
+    closed_form_Z,
+    eval_Z,
+    in_P_plus,
+    omega_from_bw,
+    support_constant,
+    wall_scan_alpha,
+)
 from .errors import InternalInvariantError
 from .exact_scalars import QuadComplex, QuadNumber, try_sqrt
-from .lax_boundary import (build_lax_point, family_masses, irrationality_certificate,
-                           verify_certificate, z_alpha0)
+from .lax_boundary import (
+    build_lax_point,
+    family_masses,
+    irrationality_certificate,
+    verify_certificate,
+    z_alpha0,
+)
 from .mass_reconstruction import MassOracle, reconstruct
-from .mukai_lattice import (MukaiVector, NSLattice, SphericalNormBasis, is_spherical,
-                            mukai_pairing, reflect, tensor_line_bundle)
-from .spherical_enum import SearchBox, companion_classes, enumerate_spherical, good_basis
+from .mukai_lattice import (
+    MukaiVector,
+    NSLattice,
+    SphericalNormBasis,
+    is_spherical,
+    mukai_pairing,
+    reflect,
+    tensor_line_bundle,
+)
+from .spherical_enum import (
+    SearchBox,
+    companion_classes,
+    enumerate_spherical,
+    good_basis,
+)
 
 
 def expect(cond, message: str) -> None:
@@ -25,17 +50,24 @@ def expect(cond, message: str) -> None:
 
 def default_lattices() -> list[NSLattice]:
     """The lattices of `lattices/*.json`."""
-    return [NSLattice([[2]], [1], name="rho1-d1"), NSLattice([[4]], [1], name="rho1-d2"),
-            NSLattice([[2, 0], [0, -4]], [1, 0], name="rho2-d1")]
+    return [
+        NSLattice([[2]], [1], name="rho1-d1"),
+        NSLattice([[4]], [1], name="rho1-d2"),
+        NSLattice([[2, 0], [0, -4]], [1, 0], name="rho2-d1"),
+    ]
 
 
-def random_vector(rng: random.Random, rank: int) -> MukaiVector:
-    r, D = rng.randint(-12, 12), tuple(rng.randint(-12, 12) for _ in range(rank))
-    return MukaiVector(r, D, rng.randint(-12, 12))
+def random_vector(rng: random.Random, rank: int, bound: int = 15) -> MukaiVector:
+    return MukaiVector(
+        rng.randint(-bound, bound),
+        tuple(rng.randint(-bound, bound) for _ in range(rank)),
+        rng.randint(-bound, bound),
+    )
 
 
 def brute_force_spherical(lat: NSLattice, box: SearchBox) -> set[MukaiVector]:
-    """Reference enumeration by the naive triple loop, sharing nothing with `enumerate_spherical`."""
+    """Reference enumeration by the naive triple loop, sharing nothing with
+    `enumerate_spherical`."""
     out = set()
     span = range(-box.d_bound, box.d_bound + 1)
     for r in range(-box.r_max, box.r_max + 1):
@@ -47,8 +79,11 @@ def brute_force_spherical(lat: NSLattice, box: SearchBox) -> set[MukaiVector]:
     return out
 
 
-def alignment_invariants(lat: NSLattice, B, v: MukaiVector) -> tuple[Fraction, Fraction]:
-    """(I_v, c_v) with Z(v) = c_v + r d alpha^2 + i alpha I_v at (B, alpha H), from `closed_form_Z`."""
+def alignment_invariants(
+    lat: NSLattice, B, v: MukaiVector
+) -> tuple[Fraction, Fraction]:
+    """(I_v, c_v) with Z(v) = c_v + r d alpha^2 + i alpha I_v at (B, alpha H),
+    read off `closed_form_Z`."""
     z = closed_form_Z(lat, B, 1, v)
     return z.im.a, z.re.a - v.r * lat.degree
 
@@ -67,7 +102,7 @@ def check_scalar_field_laws(rng, lattices):
         expect(x * (y + z) == x * y + x * z, "multiplication is not distributive")
         expect(x.is_zero or x * (1 / x) == 1, "x * (1/x) is not 1")
         root = try_sqrt(x * x)
-        expect(root is not None and root * root == x * x, "try_sqrt(x * x) is not a root")
+        expect(root is not None and root * root == x * x, "try_sqrt(x * x) is no root")
 
 
 def check_pairing_bilinear(rng, lattices, *, samples=60):
@@ -83,15 +118,20 @@ def check_pairing_bilinear(rng, lattices, *, samples=60):
 
 
 def check_reflection(rng, lattices, *, samples=40):
+    """Each sample reflects in one of the axes O, O(1), O(-2) in turn and in a
+    random spherical class of box (2, 2, 6)."""
     for lat in lattices:
+        structure_sheaf = MukaiVector(1, (0,) * lat.rank, 1)
+        axes = [tensor_line_bundle(lat, k, structure_sheaf) for k in (0, 1, -2)]
         deltas = enumerate_spherical(lat, SearchBox(2, 2, 6))
-        for _ in range(samples):
-            delta = deltas[rng.randrange(len(deltas))]
+        for i in range(samples):
             u, v = random_vector(rng, lat.rank), random_vector(rng, lat.rank)
-            once = reflect(lat, delta, v)
-            expect(reflect(lat, delta, once) == v, "reflection is not involutive")
             uv = mukai_pairing(lat, u, v)
-            expect(mukai_pairing(lat, reflect(lat, delta, u), once) == uv, "reflection is not an isometry")
+            for delta in (axes[i % 3], deltas[rng.randrange(len(deltas))]):
+                once = reflect(lat, delta, v)
+                expect(reflect(lat, delta, once) == v, "reflection is not involutive")
+                reflected_uv = mukai_pairing(lat, reflect(lat, delta, u), once)
+                expect(reflected_uv == uv, "reflection is not an isometry")
 
 
 def check_tensor_action(rng, lattices, *, samples=40):
@@ -100,16 +140,18 @@ def check_tensor_action(rng, lattices, *, samples=40):
             v, w = random_vector(rng, lat.rank), random_vector(rng, lat.rank)
             k1, k2 = rng.randint(-6, 6), rng.randint(-6, 6)
             twice = tensor_line_bundle(lat, k2, tensor_line_bundle(lat, k1, v))
-            expect(twice == tensor_line_bundle(lat, k1 + k2, v), "twists do not compose")
+            once = tensor_line_bundle(lat, k1 + k2, v)
+            expect(twice == once, "twists do not compose")
             tv, tw = tensor_line_bundle(lat, k1, v), tensor_line_bundle(lat, k1, w)
-            expect(mukai_pairing(lat, tv, tw) == mukai_pairing(lat, v, w), "twist is not an isometry")
+            tvw = mukai_pairing(lat, tv, tw)
+            expect(tvw == mukai_pairing(lat, v, w), "twist is not an isometry")
 
 
 def check_enumeration_oracle(rng, lattices, *, boxes=(SearchBox(2, 2, 6),)):
     for lat in lattices:
         for box in boxes:
             found = {cls.v for cls in enumerate_spherical(lat, box)}
-            expect(found == brute_force_spherical(lat, box), f"enumeration of {box} differs on {lat}")
+            expect(found == brute_force_spherical(lat, box), f"{box} differs on {lat}")
 
 
 def check_good_basis(rng, lattices):
@@ -123,25 +165,27 @@ def check_good_basis(rng, lattices):
 def check_charge_forms_agree(rng, lattices):
     for lat in lattices:
         for _ in range(30):
-            b = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(lat.rank))
+            b = tuple(
+                Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(lat.rank)
+            )
             alpha = Fraction(rng.randint(1, 8), rng.randint(1, 4))
             omega = omega_from_bw(lat, BWParams(b, alpha))
             v = random_vector(rng, lat.rank)
-            expect(eval_Z(lat, omega, v) == closed_form_Z(lat, b, alpha, v), "Z differs from its closed form")
+            closed = closed_form_Z(lat, b, alpha, v)
+            expect(eval_Z(lat, omega, v) == closed, "Z differs from its closed form")
             expect(in_P_plus(lat, omega), "charge is not in P+")
             expect(not in_P_plus(lat, omega.conjugate()), "conjugate charge is in P+")
 
 
 def check_lax_discreteness(rng, lattices, *, samples=40, box=SearchBox(4, 4, 12)):
-    """r0^2 Re Z and r0^2 sqrt(d) Im Z are integers at the lax point of slope 0."""
+    """Z(delta0) = 0 at the lax point of slope 0.  `z_alpha0` raises unless
+    r0^2 Re Z and r0^2 sqrt(d) Im Z are integers, so evaluating it on
+    random classes checks discreteness."""
     for lat in lattices:
         lp = build_lax_point(lat, Fraction(0), box)
-        expect(z_alpha0(lp, lp.delta0).is_zero, f"boundary charge does not vanish on {lat}")
-        r0_sq = lp.r0 * lp.r0
+        expect(z_alpha0(lp, lp.delta0).is_zero, f"Z(delta0) is not 0 on {lat}")
         for _ in range(samples):
-            z = z_alpha0(lp, random_vector(rng, lat.rank))
-            for part in (z.re * r0_sq, z.im * QuadNumber.sqrt_radicand(lp.d) * r0_sq):
-                expect(part.is_rational and part.a.denominator == 1, "boundary value is not discrete")
+            z_alpha0(lp, random_vector(rng, lat.rank))
         family_masses(lp, -6, 6)
 
 
@@ -160,7 +204,9 @@ def check_reconstruction_roundtrip(rng, lattices, *, samples=1):
         basis = good_basis(lat, SearchBox(8, 8, 40))
         done = 0
         while done < samples:
-            b = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(lat.rank))
+            b = tuple(
+                Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(lat.rank)
+            )
             alpha = Fraction(rng.randint(1, 6), rng.randint(1, 3))
             hidden = omega_from_bw(lat, BWParams(b, alpha))
             gauge = eval_Z(lat, hidden, basis.vectors[0])
@@ -172,15 +218,18 @@ def check_reconstruction_roundtrip(rng, lattices, *, samples=1):
             expect(rec.residual == 0, f"exact residual {rec.residual} on {lat}")
             for cls, (a_c, b_c) in zip(basis.vectors, rec.coefficients):
                 target = eval_Z(lat, hidden, cls)
+                ratio = target / gauge
                 recovered = eval_Z(lat, rec.omega, cls)
-                expect(QuadComplex(a_c, b_c) == target / gauge, f"coefficient of {cls.v} is wrong")
-                expect(recovered == target / gauge, f"Z({cls.v}) is not recovered")
+                expect(QuadComplex(a_c, b_c) == ratio, f"coefficient {cls.v} is wrong")
+                expect(recovered == ratio, f"Z({cls.v}) is not recovered")
                 mass_sq = target.norm_square() / gauge.norm_square()
-                expect(recovered.norm_square() == mass_sq, f"mass of {cls.v} is not recovered")
+                expect(recovered.norm_square() == mass_sq, f"mass of {cls.v} is wrong")
             approx = reconstruct(lat, basis, oracle, mode="float")
-            expect(approx.residual <= 1e-9, f"float residual {approx.residual} on {lat}")
-            conj = reconstruct(lat, basis, MassOracle.from_charge(lat, hidden.conjugate()))
-            expect(conj == rec and in_P_plus(lat, conj.omega), f"conjugate branch unresolved on {lat}")
+            expect(approx.residual <= 1e-9, f"float residual {approx.residual}")
+            conj_oracle = MassOracle.from_charge(lat, hidden.conjugate())
+            conj = reconstruct(lat, basis, conj_oracle)
+            resolved = conj == rec and in_P_plus(lat, conj.omega)
+            expect(resolved, f"conjugate branch unresolved on {lat}")
 
 
 def check_wall_scan_equation(rng, lattices, *, box=SearchBox(4, 4, 12)):
@@ -190,29 +239,32 @@ def check_wall_scan_equation(rng, lattices, *, box=SearchBox(4, 4, 12)):
         lp = build_lax_point(lat, Fraction(0), box)
         delta = tensor_line_bundle(lat, 1, lp.delta0)
         scan = wall_scan_alpha(lat, lp.b0, delta, lp.alpha0, box)
-        expect(any(hit.witnesses for hit in scan.hits), f"no wall root against {delta} on {lat}")
+        expect(any(hit.witnesses for hit in scan.hits), f"no wall root on {lat}")
         i_d, c_d = alignment_invariants(lat, lp.b0, delta)
         for hit in scan.hits:
-            expect(hit.alpha_sq > lp.alpha0 * lp.alpha0, f"wall at alpha^2 = {hit.alpha_sq} is below alpha0")
+            above = hit.alpha_sq > lp.alpha0 * lp.alpha0
+            expect(above, f"wall {hit.alpha_sq} is below alpha0")
             for w in hit.witnesses:
                 i_w, c_w = alignment_invariants(lat, lp.b0, w)
-                lhs = hit.alpha_sq * lat.degree * (i_w * delta.r - i_d * w.r) + (i_w * c_d - i_d * c_w)
+                lhs = hit.alpha_sq * lat.degree * (i_w * delta.r - i_d * w.r)
+                lhs += i_w * c_d - i_d * c_w
                 expect(lhs == 0, f"{w} does not solve the alignment equation")
         scans.append(scan)
     return scans
 
 
 def check_support_monotone(rng, lattices):
-    """Support bounds at the lax point of slope 0; returns the ratios of each lattice."""
+    """Support bounds at the lax point of slope 0; returns each lattice's ratios."""
     ratios = []
     for lat in lattices:
         lp = build_lax_point(lat, Fraction(0), SearchBox(4, 4, 12))
         basis = SphericalNormBasis.build(lat, lp.delta0)
         omega = omega_from_bw(lat, BWParams(lp.b0, lp.alpha0))
-        bounds = [support_constant(lat, basis, omega, SearchBox(k, k, 3 * k)) for k in (2, 3, 4)]
-        expect(all(b.value < float("inf") for b in bounds), f"support bound is infinite on {lat}")
+        boxes = [SearchBox(k, k, 3 * k) for k in (2, 3, 4)]
+        bounds = [support_constant(lat, basis, omega, box) for box in boxes]
+        expect(all(b.value < float("inf") for b in bounds), f"infinite bound on {lat}")
         ratios.append([b.ratio_sq for b in bounds])
-        expect(ratios[-1] == sorted(ratios[-1]), f"support ratio shrinks as the box grows on {lat}")
+        expect(ratios[-1] == sorted(ratios[-1]), f"support ratio shrinks on {lat}")
     return ratios
 
 
@@ -235,12 +287,15 @@ CHECKS = (
 def run_checks(seed: int) -> dict:
     """Run every check in order on one generator seeded with `seed`.  A
     check that raises is reported as failed, with its error."""
-    rng, lattices, checks = random.Random(seed), default_lattices(), []
+    rng = random.Random(seed)
+    lattices = default_lattices()
+    checks = []
     for name, check in CHECKS:
         try:
             check(rng, lattices)
             checks.append({"name": name, "passed": True})
         except Exception as exc:  # noqa: BLE001 - report, do not crash
-            checks.append({"name": name, "passed": False, "details": f"{type(exc).__name__}: {exc}"})
+            details = f"{type(exc).__name__}: {exc}"
+            checks.append({"name": name, "passed": False, "details": details})
     failed = sum(not check["passed"] for check in checks)
     return {"checks": checks, "passed": len(checks) - failed, "failed": failed}

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -6,48 +5,39 @@ import pytest
 from k3lax import (
     BWParams,
     MassOracle,
-    MukaiVector,
-    NSLattice,
     SearchBox,
     companion_classes,
     good_basis,
     omega_from_bw,
 )
+from k3lax.selftest import default_lattices
 
 
 @pytest.fixture
-def rho1_d1():
-    return NSLattice([[2]], [1], name="rho1-d1")
+def all_lattices():
+    return default_lattices()
 
 
 @pytest.fixture
-def rho1_d2():
-    return NSLattice([[4]], [1], name="rho1-d2")
+def rho1_d1(all_lattices):
+    return all_lattices[0]
 
 
 @pytest.fixture
-def rho2_d1():
-    return NSLattice([[2, 0], [0, -4]], [1, 0], name="rho2-d1")
+def rho1_d2(all_lattices):
+    return all_lattices[1]
 
 
 @pytest.fixture
-def all_lattices(rho1_d1, rho1_d2, rho2_d1):
-    return [rho1_d1, rho1_d2, rho2_d1]
-
-
-def random_vector(rng: random.Random, rank: int, bound: int = 15) -> MukaiVector:
-    return MukaiVector(
-        rng.randint(-bound, bound),
-        tuple(rng.randint(-bound, bound) for _ in range(rank)),
-        rng.randint(-bound, bound),
-    )
+def rho2_d1(all_lattices):
+    return all_lattices[2]
 
 
 def mass_table_entries() -> list[dict]:
     """A consistent `--mass-table` for rho1_d1: the exact squared masses
     of the good basis of box (8, 8, 40) and of its companions under the
     charge B = 1/2, alpha = 3/2, as fraction strings."""
-    lat = NSLattice([[2]], [1], name="rho1-d1")
+    lat = default_lattices()[0]
     basis = good_basis(lat, SearchBox(8, 8, 40))
     omega = omega_from_bw(lat, BWParams((Fraction(1, 2),), Fraction(3, 2)))
     oracle = MassOracle.from_charge(lat, omega)

@@ -24,8 +24,7 @@ from k3lax.errors import (
     NoSphericalClass,
     SearchLimitExceeded,
 )
-
-from conftest import random_vector
+from k3lax.selftest import random_vector
 
 BOX = SearchBox(8, 8, 40)
 

@@ -17,8 +17,7 @@ from k3lax import (
 )
 from k3lax.errors import BasisError, DimensionError, LatticeError
 from k3lax.mukai_lattice import pairing_functional
-
-from conftest import random_vector
+from k3lax.selftest import random_vector
 
 
 class TestNSLattice:
