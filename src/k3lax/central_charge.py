@@ -350,8 +350,13 @@ def wall_scan_alpha(
     >= -2.  A candidate aligned at every alpha (both coefficients zero)
     is reported separately and contributes no root.
 
-    The loop below runs in scaled integer arithmetic: with q clearing the
-    denominators of B, the quantities q*I_v and 2*q^2*c_v are integers.
+    The scan runs in integer arithmetic: with q clearing the denominators
+    of B, q*I_v and 2*q^2*c_v are integers.  For fixed (r, D) both square
+    filters, w^2 = D^2 - 2rs and (delta - w)^2, are linear in s, so they
+    cut the s range down to one interval [lo, hi].  The cost is one pass
+    over the D grid plus one step per (r, D) and per candidate inside its
+    interval, not per class in the box; a vector is built only for a
+    root above alpha_min or an aligned class.
     """
     delta_v = as_vector(delta)
     B = tuple(Fraction(c) for c in b_field)
@@ -361,61 +366,75 @@ def wall_scan_alpha(
         alpha_min = QuadNumber(Fraction(alpha_min))
     if alpha_min.sign() <= 0:
         raise DomainError("alpha_min must be positive")
-    d = lat.degree
+    if delta_v.is_zero:
+        raise DomainError("reference class must be nonzero")
+    # alpha_min^2 = (A + M * sqrt(e)) / L with integers A, M and L > 0
+    floor_sq = alpha_min * alpha_min
+    a, m, e = floor_sq.a, floor_sq.b, floor_sq.d
+    L = math.lcm(a.denominator, m.denominator)
+    A, M = a.numerator * (L // a.denominator), m.numerator * (L // m.denominator)
     q = math.lcm(*(c.denominator for c in B))
     P = tuple(int(c * q) for c in B)  # q * B, integral
-    H = lat.ample_class
-    ph = lat.dot(P, H)
-    pp = lat.dot(P, P)
-
-    def scaled_invariants(v: MukaiVector) -> tuple[int, int]:
-        # (q * I_v, 2 * q^2 * c_v)
-        hd = lat.dot_ample(v.D)
-        pd = lat.dot(P, v.D)
-        return q * hd - v.r * ph, 2 * q * pd - 2 * q * q * v.s - v.r * pp
-    if delta_v.r == 0 and delta_v.s == 0 and not any(delta_v.D):
-        raise DomainError("reference class must be nonzero")
-    i_delta, c_delta = scaled_invariants(delta_v)
-    alpha_min_sq = alpha_min * alpha_min
-    roots: dict[Fraction, list[MukaiVector]] = {}
+    gp = tuple(sum(map(operator.mul, row, P)) for row in lat.gram)  # G . P
+    ph, pp = lat.dot_ample(P), sum(map(operator.mul, gp, P))
+    dr, dD, ds = delta_v.r, delta_v.D, delta_v.s
+    # (q * I_delta, 2 * q^2 * c_delta)
+    i_delta = q * lat.dot_ample(dD) - dr * ph
+    c_delta = 2 * q * sum(map(operator.mul, gp, dD)) - 2 * q * q * ds - dr * pp
+    k1 = 2 * q * q * i_delta  # the s-coefficient of I_w c_delta - I_delta c_w
+    scale = 2 * q * q * lat.degree
+    grid = []  # per D: D^2, (delta_D - D)^2, q * H.D, 2q * P.D
+    for D in itertools.product(range(-box.d_bound, box.d_bound + 1), repeat=lat.rank):
+        rest = tuple(map(operator.sub, dD, D))
+        qpd = 2 * q * sum(map(operator.mul, gp, D))
+        grid.append((D, lat.dot(D, D), lat.dot(rest, rest), q * lat.dot_ample(D), qpd))
+    roots: dict[tuple[int, int], list[MukaiVector]] = {}
     aligned: list[MukaiVector] = []
-    d_range = range(-box.d_bound, box.d_bound + 1)
     for r in range(-box.r_max, box.r_max + 1):
-        for D in itertools.product(d_range, repeat=lat.rank):
-            d_sq = lat.dot(D, D)
-            hd = lat.dot_ample(D)
-            pd = lat.dot(P, D)
-            i_w = q * hd - r * ph
-            c_w_base = 2 * q * pd - r * pp
-            for s in range(-box.s_bound, box.s_bound + 1):
-                if r == 0 and s == 0 and not any(D):
+        rho = dr - r
+        for D, d_sq, e_sq, qhd, qpd in grid:
+            # w^2 >= -2 is 2rs <= D^2 + 2; (delta - w)^2 >= -2 is
+            # 2 rho (ds - s) <= e^2 + 2 with rho = dr - r
+            lo, hi = -box.s_bound, box.s_bound
+            if r > 0:
+                hi = min(hi, (d_sq + 2) // (2 * r))
+            elif r < 0:
+                lo = max(lo, -((d_sq + 2) // (-2 * r)))
+            elif d_sq < -2:
+                continue
+            if rho > 0:
+                lo = max(lo, ds - (e_sq + 2) // (2 * rho))
+            elif rho < 0:
+                hi = min(hi, ds + (e_sq + 2) // (-2 * rho))
+            elif e_sq < -2:
+                continue
+            i_w = qhd - r * ph
+            coeff = i_w * dr - i_delta * r
+            k0 = i_w * c_delta - i_delta * (qpd - r * pp)  # const = k0 + k1 * s
+            if coeff == 0:
+                for s in range(lo, hi + 1):
+                    if k0 + k1 * s == 0:
+                        w = MukaiVector(r, D, s)
+                        if not w.is_zero and w != delta_v:
+                            aligned.append(w)
+                continue
+            # alpha^2 = num / den with den > 0 and num = n0 + n1 * s; it
+            # exceeds alpha_min^2 where L * num - A * den > M * den * sqrt(e)
+            den, n0, n1 = (scale * coeff, -k0, -k1) if coeff > 0 else (-scale * coeff, k0, k1)
+            g0, g1, mden = n0 * L - A * den, n1 * L, -M * den
+            for s in range(lo, hi + 1):
+                gap = g0 + g1 * s  # L * num - A * den
+                if (gap if M == 0 else quad_sign(gap, mden, e)) <= 0:
                     continue
-                w = MukaiVector(r, D, s)
-                if w == delta_v:
-                    continue
-                if d_sq - 2 * r * s < -2:
-                    continue
-                rest = delta_v - w
-                if lat.dot(rest.D, rest.D) - 2 * rest.r * rest.s < -2:
-                    continue
-                c_w = c_w_base - 2 * q * q * s
-                coeff = i_w * delta_v.r - i_delta * r
-                const = i_w * c_delta - i_delta * c_w
-                if coeff == 0:
-                    if const == 0:
-                        aligned.append(w)
-                    continue
-                alpha_sq = Fraction(-const, 2 * q * q * d * coeff)
-                if alpha_sq <= 0 or alpha_sq <= alpha_min_sq:
-                    continue
-                roots.setdefault(alpha_sq, []).append(w)
+                num = n0 + n1 * s
+                g = math.gcd(num, den)
+                roots.setdefault((num // g, den // g), []).append(MukaiVector(r, D, s))
+    # the floor of 2^64 alpha^2 orders the roots in integer compares, up to
+    # ties, which the exact Fraction breaks
+    order = sorted(((num << 64) // den, Fraction(num, den), (num, den)) for num, den in roots)
     hits = tuple(
-        WallHit(
-            alpha_sq,
-            try_sqrt(QuadNumber(alpha_sq, 0, d)),
-            tuple(roots[alpha_sq]),
-        )
-        for alpha_sq in sorted(roots)
+        WallHit(x, try_sqrt(QuadNumber(x, 0, lat.degree)), tuple(roots[key]))
+        for _, x, key in order
     )
     return WallScan(hits, tuple(aligned))
 

@@ -285,6 +285,8 @@ def _walls_parameters(lat: NSLattice, cfg: RunConfig):
         raise ConfigError("walls needs either --mu or all of --B, --delta, --alpha-min")
     b = _b_field(cfg, lat)
     delta = _vector(cfg.delta, lat, "--delta")
+    if delta.is_zero:
+        raise ConfigError("--delta must be a nonzero reference class")
     inputs = {
         "B": [fraction_str(c) for c in b],
         "delta": mukai_json(delta),
@@ -535,7 +537,9 @@ def _build_parser() -> argparse.ArgumentParser:
     option(common, "--mode", choices=("exact", "float"))
     option(common, "--out", dest="output", choices=("json", "csv"))
     option(common, "--tol", dest="tolerance", type=float)
-    option(common, "--jobs", type=int)
+    jobs = argparse.ArgumentParser(add_help=False)
+    option(jobs, "--jobs", type=int)
+    common = argparse.ArgumentParser(add_help=False, parents=[common, jobs])
 
     p = sub.add_parser("pair", parents=[common], help="Mukai pairing of two vectors")
     option(p, "--u", _parse_ints, required=True, help="vector r,D...,s")
@@ -570,7 +574,8 @@ def _build_parser() -> argparse.ArgumentParser:
     option(p, "--mu", _parse_fraction, required=True, help="slope of the boundary class")
     option(p, "--search-limit", type=int)
 
-    p = sub.add_parser("selftest", parents=[common], help="run the built-in invariant suite")
+    # the suite fixes its own lattices, box, mode and tolerance
+    p = sub.add_parser("selftest", parents=[jobs], help="run the built-in invariant suite")
     option(p, "--seed", type=int)
     return parser
 

@@ -31,7 +31,7 @@ class NSLattice:
     the boundary central charges live.
     """
 
-    __slots__ = ("_gram", "_ample", "_name", "_d")
+    __slots__ = ("_gram", "_ample", "_name", "_d", "_gh")
 
     def __init__(
         self,
@@ -73,7 +73,9 @@ class NSLattice:
         self._gram = rows
         self._ample = ample
         self._name = name
-        h2 = self.dot(ample, ample)
+        # G.H, so that the degree H.x is one dot product
+        self._gh = tuple(sum(map(operator.mul, row, ample)) for row in rows)
+        h2 = self.dot_ample(ample)
         if h2 <= 0 or h2 % 2 != 0:
             raise LatticeError(f"H^2 must be positive and even, got {h2}")
         self._d = h2 // 2
@@ -120,7 +122,9 @@ class NSLattice:
 
     def dot_ample(self, x: Sequence):
         """H . x, the degree of a class against the polarization."""
-        return self.dot(self._ample, x)
+        if len(x) != len(self._gh):
+            raise DimensionError(f"expected coordinate vectors of length {self.rank}")
+        return sum(map(operator.mul, self._gh, x))
 
     @classmethod
     def from_dict(cls, data: dict) -> NSLattice:

@@ -2,7 +2,11 @@ import math
 import random
 from fractions import Fraction
 
+import itertools
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from k3lax import (
     BWParams,
@@ -29,7 +33,9 @@ from k3lax import (
     support_constant,
     wall_scan_alpha,
 )
-from k3lax.central_charge import _float_quad
+from k3lax.central_charge import WallHit, WallScan, _float_quad
+from k3lax.exact_scalars import try_sqrt
+from k3lax.selftest import default_lattices
 from k3lax.errors import DimensionError, DomainError, EmptySupport, RadicandMismatch
 
 
@@ -311,7 +317,116 @@ class TestSphericalWallHits:
             )
 
 
+def brute_force_wall_scan(lat, b_field, delta, alpha_min, box):
+    """`wall_scan_alpha` one candidate at a time: every (r, D, s) in the
+    box is built as a vector and filtered in turn, in scaled integers
+    with q clearing the denominators of B."""
+    B = tuple(Fraction(c) for c in b_field)
+    q = math.lcm(*(c.denominator for c in B))
+    P = tuple(int(c * q) for c in B)
+    d, H = lat.degree, lat.ample_class
+    ph, pp = lat.dot(P, H), lat.dot(P, P)
+
+    def scaled_invariants(v):
+        # (q * I_v, 2 * q^2 * c_v)
+        return (
+            q * lat.dot(H, v.D) - v.r * ph,
+            2 * q * lat.dot(P, v.D) - 2 * q * q * v.s - v.r * pp,
+        )
+
+    i_delta, c_delta = scaled_invariants(delta)
+    alpha_min_sq = alpha_min * alpha_min
+    roots, aligned = {}, []
+    d_range = range(-box.d_bound, box.d_bound + 1)
+    for r in range(-box.r_max, box.r_max + 1):
+        for D in itertools.product(d_range, repeat=lat.rank):
+            for s in range(-box.s_bound, box.s_bound + 1):
+                w = MukaiVector(r, D, s)
+                if w.is_zero or w == delta:
+                    continue
+                rest = delta - w
+                if lat.dot(D, D) - 2 * r * s < -2:
+                    continue
+                if lat.dot(rest.D, rest.D) - 2 * rest.r * rest.s < -2:
+                    continue
+                i_w, c_w = scaled_invariants(w)
+                coeff = i_w * delta.r - i_delta * r
+                const = i_w * c_delta - i_delta * c_w
+                if coeff == 0:
+                    if const == 0:
+                        aligned.append(w)
+                    continue
+                alpha_sq = Fraction(-const, 2 * q * q * d * coeff)
+                if alpha_sq > 0 and alpha_sq > alpha_min_sq:
+                    roots.setdefault(alpha_sq, []).append(w)
+    hits = tuple(
+        WallHit(x, try_sqrt(QuadNumber(x, 0, d)), tuple(roots[x])) for x in sorted(roots)
+    )
+    return WallScan(hits, tuple(aligned))
+
+
+def _alpha_mins():
+    rational = st.fractions(min_value=Fraction(1, 6), max_value=2, max_denominator=6)
+    quadratic = st.builds(
+        QuadNumber,
+        st.fractions(min_value=-1, max_value=1, max_denominator=4),
+        st.fractions(min_value=Fraction(1, 4), max_value=1, max_denominator=4),
+        st.sampled_from([2, 3, 5]),
+    ).filter(lambda x: x.sign() > 0)
+    return st.one_of(rational, quadratic)
+
+
 class TestWallScan:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        which=st.integers(0, 2),
+        b_entries=st.lists(
+            st.fractions(min_value=-4, max_value=4, max_denominator=5),
+            min_size=2,
+            max_size=2,
+        ),
+        delta=st.tuples(
+            st.integers(-3, 3),
+            st.lists(st.integers(-5, 5), min_size=2, max_size=2),
+            st.integers(-9, 9),
+        ),
+        box=st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 8)),
+        alpha_min=_alpha_mins(),
+    )
+    # rho1_d2 with alpha_min = 1/2 + sqrt(2)/4, whose square is irrational
+    @example(
+        which=1,
+        b_entries=[Fraction(0)] * 2,
+        delta=(1, [1, 0], 0),
+        box=(2, 2, 6),
+        alpha_min=QuadNumber(Fraction(1, 2), Fraction(1, 4), 2),
+    )
+    # delta inside the box of the spherical class (0, 0, 1); box (0, 0, 0)
+    @example(
+        which=2,
+        b_entries=[Fraction(1, 2), Fraction(-1, 3)],
+        delta=(0, [0, 0], 1),
+        box=(0, 0, 0),
+        alpha_min=Fraction(1, 3),
+    )
+    # non-spherical delta of square +2 with classes aligned at every alpha
+    @example(
+        which=0,
+        b_entries=[Fraction(0)] * 2,
+        delta=(1, [0, 0], -1),
+        box=(2, 2, 6),
+        alpha_min=Fraction(1, 2),
+    )
+    def test_matches_brute_force(self, which, b_entries, delta, box, alpha_min):
+        lat = default_lattices()[which]
+        r, D, s = delta
+        delta = MukaiVector(r, D[: lat.rank], s)
+        if delta.is_zero:
+            delta = MukaiVector(0, (0,) * lat.rank, 1)
+        B, box = tuple(b_entries[: lat.rank]), SearchBox(*box)
+        got = wall_scan_alpha(lat, B, delta, alpha_min, box)
+        assert got == brute_force_wall_scan(lat, B, delta, alpha_min, box)
+
     def test_aligned_nonspherical_reference(self, rho1_d1):
         # reference class of square +2; (1, 0, 1) stays aligned with it
         # at every alpha along the B = 0 ray

@@ -309,8 +309,12 @@ class TestMain:
                 "walls", "--lattice", R1D1,
                 "--B", "0", "--delta", "1,0,1", "--alpha-min", "-1",
             ],
+            [
+                "walls", "--lattice", R1D1,
+                "--B", "0", "--delta", "0,0,0", "--alpha-min", "1",
+            ],
         ],
-        ids=["negative-box", "zero-alpha", "negative-alpha-min"],
+        ids=["negative-box", "zero-alpha", "negative-alpha-min", "zero-delta"],
     )
     def test_out_of_range_flags_exit_2(self, capsys, argv):
         code, out = self._capture(capsys, argv)
@@ -376,6 +380,39 @@ class TestMain:
         assert json.loads(out)["error"] == {
             "type": "ConfigError",
             "message": "--search-limit must be at least 1",
+        }
+
+    @pytest.mark.parametrize("seed", [None, 3])
+    def test_selftest_report_keeps_defaults(self, capsys, seed):
+        argv = ["selftest"] if seed is None else ["selftest", "--seed", str(seed)]
+        code, out = self._capture(capsys, argv)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["inputs"] == {"lattice": None}
+        assert payload["provenance"] == {
+            "box": [8, 8, 40],
+            "mode": "exact",
+            "seed": seed or 0,
+            "version": cli.__version__,
+        }
+        assert self._capture(capsys, argv + ["--jobs", "2"]) == (0, out)
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--lattice", "/nonexistent.json"),
+            ("--box", "0,0,0"),
+            ("--mode", "float"),
+            ("--out", "csv"),
+            ("--tol", "0.5"),
+        ],
+    )
+    def test_selftest_rejects_flags_it_would_ignore(self, capsys, flag, value):
+        code, out = self._capture(capsys, ["selftest", flag, value])
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "type": "ConfigError",
+            "message": f"unrecognized arguments: {flag} {value}",
         }
 
     def test_selftest_failure_exits_4(self, capsys, monkeypatch):
