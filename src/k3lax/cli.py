@@ -56,9 +56,6 @@ from .reports import (
     scalar_json,
 )
 
-_CSV_COMMANDS = ("enum", "lax")
-
-
 class RunConfig(Value):
     command: str
     lattice_path: str | None = None
@@ -175,6 +172,8 @@ def _load_mass_table(path: str, mode: str) -> dict[MukaiVector, object]:
             raise ConfigError(f"malformed mass entry {entry!r}")
         if not all(_is_int(c) for c in key.coords()):
             raise ConfigError(f"mass entry coordinates must be integers: {entry!r}")
+        if key in table:
+            raise ConfigError(f"mass table lists the class {key} twice")
         table[key] = _mass_value(raw, mode)
     return table
 
@@ -278,6 +277,9 @@ def _cmd_chamber(lat: NSLattice, cfg: RunConfig):
 
 
 def _walls_parameters(lat: NSLattice, cfg: RunConfig):
+    explicit = (cfg.b_field, cfg.delta, cfg.alpha_min) != (None, None, None)
+    if cfg.mu is not None and explicit:
+        raise ConfigError("walls takes either --mu or --B, --delta, --alpha-min, not both")
     if cfg.mu is not None:
         lp = build_lax_point(lat, cfg.mu, SearchBox(*cfg.box))
         return lp.b0, lp.delta0, lp.alpha0, {"mu": fraction_str(cfg.mu)}
@@ -319,8 +321,9 @@ def _cmd_walls(lat: NSLattice, cfg: RunConfig):
 
 
 def _cmd_reconstruct(lat: NSLattice, cfg: RunConfig):
-    box = SearchBox(*cfg.box)
-    basis = good_basis(lat, box)
+    if cfg.mass_table is not None and (cfg.b_field, cfg.alpha) != (None, None):
+        raise ConfigError("reconstruct takes either --mass-table or --B and --alpha, not both")
+    basis = good_basis(lat, SearchBox(*cfg.box))
     if cfg.mass_table is not None:
         oracle = MassOracle.from_table(_load_mass_table(cfg.mass_table, cfg.mode))
         inputs = {"mass_table": cfg.mass_table}
@@ -413,16 +416,29 @@ def _cmd_selftest(lat: None, cfg: RunConfig):
 # ---------------------------------------------------------------- driver
 
 
-_HANDLERS = {
-    "pair": _cmd_pair,
-    "enum": _cmd_enum,
-    "basis": _cmd_basis,
-    "chamber": _cmd_chamber,
-    "walls": _cmd_walls,
-    "reconstruct": _cmd_reconstruct,
-    "lax": _cmd_lax,
-    "separate": _cmd_separate,
-    "selftest": _cmd_selftest,
+# The RunConfig field behind each flag that several commands share
+_SHARED = {
+    "--lattice": "lattice_path",
+    "--box": "box",
+    "--mode": "mode",
+    "--tol": "tolerance",
+    "--out": "output",
+}
+
+# Each command with the shared flags it reads, besides --jobs, which every
+# command takes.  The parser offers a command only these flags, and
+# `_execute` rejects a RunConfig that sets any other away from its default.
+_COMMANDS = {
+    "pair": (_cmd_pair, ("--lattice",)),
+    "enum": (_cmd_enum, ("--lattice", "--box", "--out")),
+    "basis": (_cmd_basis, ("--lattice", "--box")),
+    "chamber": (_cmd_chamber, ("--lattice", "--box", "--mode", "--tol")),
+    "walls": (_cmd_walls, ("--lattice", "--box")),
+    "reconstruct": (_cmd_reconstruct, ("--lattice", "--box", "--mode", "--tol")),
+    "lax": (_cmd_lax, ("--lattice", "--box", "--out")),
+    "separate": (_cmd_separate, ("--lattice", "--box")),
+    # the suite fixes its own lattices, box, mode and tolerance
+    "selftest": (_cmd_selftest, ()),
 }
 
 
@@ -432,17 +448,16 @@ def _execute(config: RunConfig):
     The table part is None unless the command produced a tabular slice
     for csv rendering.
     """
-    if config.command not in _HANDLERS:
+    if config.command not in _COMMANDS:
         raise ConfigError(f"unknown command {config.command!r}")
+    handler, reads = _COMMANDS[config.command]
+    for flag, field in _SHARED.items():
+        if flag not in reads and getattr(config, field) != RunConfig._defaults[field]:
+            raise ConfigError(f"{config.command} does not take {flag}")
     if config.mode not in ("exact", "float"):
         raise ConfigError(f"--mode must be exact or float, got {config.mode!r}")
     if config.output not in ("json", "csv"):
         raise ConfigError(f"--out must be json or csv, got {config.output!r}")
-    if config.output == "csv" and config.command not in _CSV_COMMANDS:
-        raise ConfigError(
-            f"csv output covers tabular commands {_CSV_COMMANDS}; "
-            f"{config.command} reports json only"
-        )
     if config.jobs < 1:
         raise ConfigError("--jobs must be at least 1")
     if config.search_limit < 1:
@@ -457,11 +472,11 @@ def _execute(config: RunConfig):
         if value is not None and value <= 0:
             raise ConfigError(f"{label} must be positive, got {value}")
     lat = None
-    if config.command != "selftest":
+    if "--lattice" in reads:
         if config.lattice_path is None:
             raise ConfigError(f"{config.command} needs --lattice")
         lat = load_lattice(config.lattice_path)
-    inputs, results, table = _HANDLERS[config.command](lat, config)
+    inputs, results, table = handler(lat, config)
     inputs = dict(inputs)
     inputs["lattice"] = None if lat is None else config.lattice_path
     if config.mode == "float":
@@ -488,8 +503,7 @@ def run(config: RunConfig) -> Report:
 def render_report(report: Report, config: RunConfig, table=None) -> str:
     if config.output == "json":
         return render_json(report.payload())
-    if table is None:
-        raise ConfigError(f"{config.command} produced no tabular slice for csv")
+    # only a command that returns a table takes --out
     header, rows = table
     return render_csv(header, rows)
 
@@ -531,51 +545,52 @@ def _build_parser() -> argparse.ArgumentParser:
             kwargs["metavar"] = flag[2:].upper()
         p.add_argument(flag, action=_Value, **kwargs)
 
-    common = argparse.ArgumentParser(add_help=False)
-    option(common, "--lattice", dest="lattice_path", help="path to a lattice JSON file")
-    option(common, "--box", _parse_box, help="search bounds R,D,S")
-    option(common, "--mode", choices=("exact", "float"))
-    option(common, "--out", dest="output", choices=("json", "csv"))
-    option(common, "--tol", dest="tolerance", type=float)
-    jobs = argparse.ArgumentParser(add_help=False)
-    option(jobs, "--jobs", type=int)
-    common = argparse.ArgumentParser(add_help=False, parents=[common, jobs])
+    shared = {flag: argparse.ArgumentParser(add_help=False) for flag in (*_SHARED, "--jobs")}
+    option(shared["--lattice"], "--lattice", dest="lattice_path", help="path to a lattice JSON file")
+    option(shared["--box"], "--box", _parse_box, help="search bounds R,D,S")
+    option(shared["--mode"], "--mode", choices=("exact", "float"))
+    option(shared["--out"], "--out", dest="output", choices=("json", "csv"))
+    option(shared["--tol"], "--tol", dest="tolerance", type=float)
+    option(shared["--jobs"], "--jobs", type=int)
 
-    p = sub.add_parser("pair", parents=[common], help="Mukai pairing of two vectors")
+    def command(name, help):
+        parents = [shared[flag] for flag in (*_COMMANDS[name][1], "--jobs")]
+        return sub.add_parser(name, parents=parents, help=help)
+
+    p = command("pair", "Mukai pairing of two vectors")
     option(p, "--u", _parse_ints, required=True, help="vector r,D...,s")
     option(p, "--v", _parse_ints, required=True, help="vector r,D...,s")
 
-    p = sub.add_parser("enum", parents=[common], help="spherical classes in a box")
+    p = command("enum", "spherical classes in a box")
     option(p, "--mu", _parse_fraction, help="restrict to positive-rank classes of this slope")
 
-    sub.add_parser("basis", parents=[common], help="good spherical basis and companions")
+    command("basis", "good spherical basis and companions")
 
-    p = sub.add_parser("chamber", parents=[common], help="positivity and wall hits of a charge")
+    p = command("chamber", "positivity and wall hits of a charge")
     option(p, "--B", _parse_fractions, dest="b_field", required=True, help="B-field entries p/q,...")
     option(p, "--alpha", _parse_fraction, required=True, help="scale alpha as p/q")
 
-    p = sub.add_parser("walls", parents=[common], help="alignment parameters above a base scale")
+    p = command("walls", "alignment parameters above a base scale")
     option(p, "--mu", _parse_fraction, help="use the boundary data of this slope")
     option(p, "--B", _parse_fractions, dest="b_field", help="B-field entries p/q,...")
     option(p, "--delta", _parse_ints, help="reference spherical vector r,D...,s")
     option(p, "--alpha-min", _parse_fraction, help="report roots above this")
 
-    p = sub.add_parser("reconstruct", parents=[common], help="charge from squared masses")
+    p = command("reconstruct", "charge from squared masses")
     option(p, "--B", _parse_fractions, dest="b_field", help="hidden charge B-field p/q,...")
     option(p, "--alpha", _parse_fraction, help="hidden charge alpha p/q")
     option(p, "--mass-table", help="JSON file of squared masses")
 
-    p = sub.add_parser("lax", parents=[common], help="boundary charge and its mass family")
+    p = command("lax", "boundary charge and its mass family")
     option(p, "--mu", _parse_fraction, required=True, help="slope of the boundary class")
     option(p, "--l-min", type=int)
     option(p, "--l-max", type=int)
 
-    p = sub.add_parser("separate", parents=[common], help="irrationality separation report")
+    p = command("separate", "irrationality separation report")
     option(p, "--mu", _parse_fraction, required=True, help="slope of the boundary class")
     option(p, "--search-limit", type=int)
 
-    # the suite fixes its own lattices, box, mode and tolerance
-    p = sub.add_parser("selftest", parents=[jobs], help="run the built-in invariant suite")
+    p = command("selftest", "run the built-in invariant suite")
     option(p, "--seed", type=int)
     return parser
 

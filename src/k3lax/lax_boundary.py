@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._value import Value
-from .central_charge import closed_form_Z
+from .central_charge import BWParams, ChargeForms, closed_form_Z, compile_charge, omega_from_bw
 from .spherical_enum import SearchBox, delta_mu_plus
 from .errors import (
     DomainError,
@@ -47,42 +47,43 @@ from .exact_scalars import QuadComplex, QuadNumber
 class LaxPoint(Value):
     """A boundary charge built from a minimal-rank spherical class.
 
-    b0 is the rational B-field D0/r0 and alpha0 the boundary scale
-    1/(r0*sqrt(d)); the charge closed_form_Z(lattice, b0, alpha0, -)
-    kills delta0.
+    Everything else follows from delta0 = (r0, D0, s0): the rational
+    B-field b0 = D0/r0, the boundary scale alpha0 = 1/(r0*sqrt(d)), the
+    slope mu = D0.H/r0 and the degree d of the lattice.  The charge with
+    (b0, alpha0) kills delta0.
     """
 
     lattice: NSLattice
     delta0: SphericalClass
-    b0: tuple[Fraction, ...]
-    alpha0: QuadNumber
-    d: int
-    mu: Fraction
 
     def validate(self) -> None:
-        lat = self.lattice
         v = self.delta0.v
-        if mukai_pairing(lat, v, v) != -2:
+        if mukai_pairing(self.lattice, v, v) != -2:
             raise InternalInvariantError("lax head class is not spherical")
         if v.r <= 0:
             raise InternalInvariantError("lax head class must have positive rank")
-        if Fraction(lat.dot_ample(v.D), v.r) != self.mu:
-            raise InternalInvariantError("lax head class has the wrong slope")
-        if self.d != lat.degree:
-            raise InternalInvariantError("stored degree disagrees with the lattice")
-        if tuple(Fraction(c, v.r) for c in v.D) != self.b0:
-            raise InternalInvariantError("B-field is not D0/r0")
-        if Fraction(lat.dot_ample(self.b0)) != self.mu:
-            raise InternalInvariantError("B . H does not equal the slope")
-        expected = QuadNumber(0, Fraction(1, v.r * self.d), self.d)
-        if self.alpha0 != expected:
-            raise InternalInvariantError("alpha0 is not 1/(r0*sqrt(d))")
-        if not closed_form_Z(lat, self.b0, self.alpha0, v).is_zero:
+        if not closed_form_Z(self.lattice, self.b0, self.alpha0, v).is_zero:
             raise InternalInvariantError("charge does not vanish on delta0")
 
     @property
     def r0(self) -> int:
         return self.delta0.v.r
+
+    @property
+    def d(self) -> int:
+        return self.lattice.degree
+
+    @property
+    def b0(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.r0) for c in self.delta0.v.D)
+
+    @property
+    def alpha0(self) -> QuadNumber:
+        return QuadNumber(0, Fraction(1, self.r0 * self.d), self.d)
+
+    @property
+    def mu(self) -> Fraction:
+        return Fraction(self.lattice.dot_ample(self.delta0.v.D), self.r0)
 
 
 def build_lax_point(lat: NSLattice, mu: Fraction, box: SearchBox) -> LaxPoint:
@@ -97,24 +98,19 @@ def build_lax_point(lat: NSLattice, mu: Fraction, box: SearchBox) -> LaxPoint:
         raise NoSphericalClass(
             f"no positive-rank spherical class of slope {mu} in box {box.as_tuple()}"
         )
-    delta0 = next(cls for cls in classes if cls.v.r == r0)
-    b0 = tuple(Fraction(c, r0) for c in delta0.v.D)
-    d = lat.degree
-    alpha0 = QuadNumber(0, Fraction(1, r0 * d), d)
-    point = LaxPoint(lat, delta0, b0, alpha0, d, mu)
+    point = LaxPoint(lat, next(cls for cls in classes if cls.v.r == r0))
     point.validate()
     return point
 
 
-def z_alpha0(lp: LaxPoint, v) -> QuadComplex:
-    """Boundary charge value, with the discreteness contract enforced.
+def _charge(lp: LaxPoint) -> ChargeForms:
+    return compile_charge(lp.lattice, omega_from_bw(lp.lattice, BWParams(lp.b0, lp.alpha0)))
 
-    Multiplying the real part by r0^2 and the imaginary part by
-    r0^2*sqrt(d) must always land in Z; a failure means the arithmetic
-    is broken, so it raises immediately.
-    """
-    v = as_vector(v)
-    z = closed_form_Z(lp.lattice, lp.b0, lp.alpha0, v)
+
+def _discrete_value(lp: LaxPoint, charge: ChargeForms, v) -> QuadComplex:
+    """Z(v), after checking that r0^2 Re Z and r0^2 sqrt(d) Im Z are
+    integers; a failure means the arithmetic is broken, so it raises."""
+    z = charge.value(v)
     r0_sq = lp.r0 * lp.r0
     re_scaled = z.re * r0_sq
     im_scaled = z.im * QuadNumber.sqrt_radicand(lp.d) * r0_sq
@@ -124,6 +120,13 @@ def z_alpha0(lp: LaxPoint, v) -> QuadComplex:
                 f"{label} part of Z({v}) leaves the discrete value group"
             )
     return z
+
+
+def z_alpha0(lp: LaxPoint, v) -> QuadComplex:
+    """Boundary charge value, with the discreteness contract enforced:
+    the real part times r0^2 and the imaginary part times r0^2*sqrt(d)
+    lie in Z."""
+    return _discrete_value(lp, _charge(lp), as_vector(v))
 
 
 def family_masses(
@@ -139,10 +142,11 @@ def family_masses(
         raise DomainError("empty twist range")
     lat = lp.lattice
     d, r0 = lp.d, lp.r0
+    charge = _charge(lp)
     out: list[tuple[int, QuadNumber]] = []
     for ell in range(l_min, l_max + 1):
         twisted = tensor_line_bundle(lat, ell, lp.delta0)
-        measured = z_alpha0(lp, twisted).norm_square()
+        measured = _discrete_value(lp, charge, twisted).norm_square()
         predicted = QuadNumber(
             Fraction(d * ell * ell * (r0 * r0 * d * ell * ell + 4)), 0, d
         )
@@ -183,8 +187,8 @@ class IrrationalityCertificate(Value):
 def verify_certificate(cert: IrrationalityCertificate) -> None:
     """Re-check every certificate condition by direct integer arithmetic."""
     a, p, l0, l1 = cert.a, cert.p, cert.l0, cert.l1
-    if a < 1:
-        raise DomainError(f"certificate coefficient a = {a} must be positive")
+    if isinstance(a, bool) or a < 1:
+        raise DomainError(f"certificate coefficient a = {a!r} must be a positive integer")
     if l0 < 1 or l1 < 1:
         raise DomainError("certificate twists must be positive")
     if not is_prime(p):
@@ -220,7 +224,7 @@ def irrationality_certificate(
     the way, and l0 is the first point where p divides nothing.  The
     returned tuple is re-verified by direct divisibility before it leaves.
     """
-    if not isinstance(a, int) or a < 1:
+    if not isinstance(a, int) or isinstance(a, bool) or a < 1:
         raise DomainError(f"certificate coefficient must be a positive integer, got {a!r}")
     _, b = squarefree_decompose(a)
     # Residue class 1 mod 4 makes -1 a square; widening to 1 mod 8 for
@@ -297,20 +301,9 @@ def separate_from_hom_functionals(
     a = lp.r0 * lp.r0 * lp.d
     cert = irrationality_certificate(a, search_limit=search_limit)
     lat = lp.lattice
-    masses = dict(
-        (ell, value)
-        for ell, value in family_masses(lp, min(cert.l0, cert.l1), max(cert.l0, cert.l1))
-    )
-    mass0 = masses[cert.l0]
-    mass1 = masses[cert.l1]
-    if not (mass0.is_rational and mass1.is_rational):
-        raise InternalInvariantError("family masses must be rational integers")
-    m0 = int(mass0.a)
-    m1 = int(mass1.a)
-    f0 = a * cert.l0 * cert.l0 + 4
-    f1 = a * cert.l1 * cert.l1 + 4
-    if m0 != lp.d * cert.l0 * cert.l0 * f0 or m1 != lp.d * cert.l1 * cert.l1 * f1:
-        raise InternalInvariantError("squared masses disagree with d*l^2*f(l)")
+    # family_masses checks each value against the integer d*l^2*f(l)
+    masses = dict(family_masses(lp, min(cert.l0, cert.l1), max(cert.l0, cert.l1)))
+    m0, m1 = int(masses[cert.l0].a), int(masses[cert.l1].a)
     ratio_val = valuation(m1, cert.p) - valuation(m0, cert.p)
     if ratio_val % 2 == 0:
         raise InternalInvariantError("squared-mass ratio has even valuation")

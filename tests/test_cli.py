@@ -187,7 +187,7 @@ class TestRun:
         with pytest.raises(ConfigError):
             run(RunConfig(command="frobnicate"))
         with pytest.raises(ConfigError):
-            run(RunConfig(command="enum", lattice_path=R1D1, mode="interval"))
+            run(RunConfig(command="chamber", lattice_path=R1D1, mode="interval"))
         with pytest.raises(ConfigError):
             run(RunConfig(command="enum", lattice_path=R1D1, output="yaml"))
         with pytest.raises(ConfigError):
@@ -326,6 +326,8 @@ class TestMain:
         # argparse (Python 3.11 at least) parses --flag=-- to an empty list;
         # --B and --lattice store under other names but are reported as typed
         argv = ["pair", "--lattice", R1D1, "--u", "1,0,1", "--v", "1,0,1", f"{flag}=--"]
+        if flag == "--box":
+            argv = ["enum", "--lattice", R1D1, "--box=--"]
         if flag == "--B":
             argv = ["chamber", "--lattice", R1D1, "--B", "0", "--alpha", "1", "--B=--"]
         code, out = self._capture(capsys, argv)
@@ -341,7 +343,10 @@ class TestMain:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["enum", "--lattice", R1D1, "--mode", "bogus"], "--mode: invalid choice"),
+            (
+                ["chamber", "--lattice", R1D1, "--B", "0", "--alpha", "1", "--mode", "bogus"],
+                "--mode: invalid choice",
+            ),
             (["selftest", "--seed", "x"], "--seed: invalid int value"),
             (["pair", "--lattice", R1D1, "--v", "1,0,1"], "required: --u"),
         ],
@@ -442,6 +447,109 @@ class TestMain:
             _, second = self._capture(capsys, argv + ["--jobs", "4"])
             assert first == second, argv
             assert "jobs" not in first
+
+
+    # every shared flag a command does not read, with a value it would parse
+    UNREAD = [
+        ("pair", "--box", "0,0,0", "box", (0, 0, 0)),
+        ("pair", "--mode", "float", "mode", "float"),
+        ("pair", "--tol", "0.5", "tolerance", 0.5),
+        ("pair", "--out", "json", "output", "csv"),
+        ("enum", "--mode", "float", "mode", "float"),
+        ("enum", "--tol", "0.5", "tolerance", 0.5),
+        ("lax", "--mode", "float", "mode", "float"),
+        ("lax", "--tol", "0.5", "tolerance", 0.5),
+        ("basis", "--mode", "float", "mode", "float"),
+        ("basis", "--tol", "0.5", "tolerance", 0.5),
+        ("basis", "--out", "json", "output", "csv"),
+        ("walls", "--mode", "float", "mode", "float"),
+        ("walls", "--tol", "0.5", "tolerance", 0.5),
+        ("walls", "--out", "json", "output", "csv"),
+        ("separate", "--mode", "float", "mode", "float"),
+        ("separate", "--tol", "0.5", "tolerance", 0.5),
+        ("separate", "--out", "json", "output", "csv"),
+        ("chamber", "--out", "json", "output", "csv"),
+        ("reconstruct", "--out", "json", "output", "csv"),
+    ]
+    COMMAND_ARGS = {
+        "pair": ["--u", "1,0,1", "--v", "1,0,1"],
+        "enum": [],
+        "lax": ["--mu", "0"],
+        "basis": [],
+        "walls": ["--mu", "0"],
+        "separate": ["--mu", "0"],
+        "chamber": ["--B", "0", "--alpha", "1"],
+        "reconstruct": ["--B", "1/2", "--alpha", "3/2"],
+    }
+
+    @pytest.mark.parametrize(
+        "command, flag, text, field, value", UNREAD, ids=[f"{c}{f}" for c, f, *_ in UNREAD]
+    )
+    def test_unread_shared_flag_exits_2(self, capsys, command, flag, text, field, value):
+        argv = [command, "--lattice", R1D1, *self.COMMAND_ARGS[command], flag, text]
+        code, out = self._capture(capsys, argv)
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "type": "ConfigError",
+            "message": f"unrecognized arguments: {flag} {text}",
+        }
+        with pytest.raises(ConfigError, match=f"{command} does not take {flag}"):
+            run(RunConfig(command=command, lattice_path=R1D1, **{field: value}))
+
+    def test_pair_rejects_flags_it_would_report(self, capsys):
+        argv = [
+            "pair", "--lattice", R1D1, "--u", "1,0,1", "--v", "1,0,1",
+            "--mode", "float", "--tol", "0.5", "--box", "0,0,0",
+        ]
+        code, out = self._capture(capsys, argv)
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "ConfigError"
+
+    def test_selftest_config_rejects_a_lattice(self):
+        with pytest.raises(ConfigError, match="selftest does not take --lattice"):
+            run(RunConfig(command="selftest", lattice_path=R1D1))
+
+    @pytest.mark.parametrize(
+        "argv, fields, forms",
+        [
+            (
+                ["walls", "--mu", "0", "--B", "5", "--delta", "1,0,1", "--alpha-min", "3"],
+                dict(
+                    command="walls", mu=Fraction(0), b_field=(Fraction(5),),
+                    delta=(1, 0, 1), alpha_min=Fraction(3),
+                ),
+                ("--mu", "--B, --delta, --alpha-min"),
+            ),
+            (
+                ["walls", "--mu", "0", "--alpha-min", "3"],
+                dict(command="walls", mu=Fraction(0), alpha_min=Fraction(3)),
+                ("--mu", "--B, --delta, --alpha-min"),
+            ),
+            (
+                ["reconstruct", "--mass-table", "T", "--B", "7", "--alpha", "9"],
+                dict(
+                    command="reconstruct", mass_table="T",
+                    b_field=(Fraction(7),), alpha=Fraction(9),
+                ),
+                ("--mass-table", "--B and --alpha"),
+            ),
+            (
+                ["reconstruct", "--mass-table", "T", "--alpha", "9"],
+                dict(command="reconstruct", mass_table="T", alpha=Fraction(9)),
+                ("--mass-table", "--B and --alpha"),
+            ),
+        ],
+        ids=["walls-all", "walls-alpha-min", "reconstruct-all", "reconstruct-alpha"],
+    )
+    def test_both_input_forms_exit_2(self, capsys, argv, fields, forms):
+        # the table path is never read: the conflict is found first
+        code, out = self._capture(capsys, argv[:1] + ["--lattice", R1D1] + argv[1:])
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "ConfigError"
+        assert all(form in error["message"] for form in forms)
+        with pytest.raises(ConfigError, match="not both"):
+            run(RunConfig(lattice_path=R1D1, **fields))
 
 
 class TestMassTableFlow:
@@ -546,3 +654,16 @@ class TestMassTableFlow:
         code = main(argv)
         assert code == 2
         assert json.loads(capsys.readouterr().out)["error"]["type"] == "ConfigError"
+
+    @pytest.mark.parametrize("bad_first", [False, True], ids=["bad-last", "bad-first"])
+    def test_duplicate_class_exits_2(self, tmp_path, capsys, bad_first):
+        entries = self._table_payload()["masses"]
+        bad = dict(entries[0], mass_sq="12345")
+        entries = [bad] + entries if bad_first else entries + [bad]
+        path = _write(tmp_path, "masses.json", json.dumps({"masses": entries}))
+        code = main(["reconstruct", "--lattice", R1D1, "--mass-table", path])
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert code == 2
+        assert error["type"] == "ConfigError"
+        r, D, s = bad["r"], tuple(bad["D"]), bad["s"]
+        assert f"MukaiVector(r={r}, D={D}, s={s})" in error["message"]

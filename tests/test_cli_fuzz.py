@@ -8,8 +8,9 @@ in-process through `cli.main`.  The contract: `main` returns 0, 2 or
 argparse's own usage errors (unknown choices, non-integer --jobs and the
 like) included.
 
-Sizes stay small on purpose: --box is never dropped and its well-formed
-values have entries of at most 4, so no example runs a long search.
+Sizes stay small on purpose: --box is never dropped where a command
+takes it, and its well-formed values have entries of at most 4, so no
+example runs a long search.
 """
 
 import json
@@ -73,17 +74,21 @@ VALUES = {
     "--l-max": INT,
     "--search-limit": st.integers(-1, 50).map(str),
 }
-COMMON = ["--mode", "--out", "--tol", "--jobs"]
-# per command: flags always given, and groups of which one is given
+# per command: flags always given, groups of which one is given, and the
+# optional shared flags it takes
 FLAGS = {
-    "pair": (["--u", "--v"], [[]]),
-    "enum": ([], [[], ["--mu"]]),
-    "basis": ([], [[]]),
-    "chamber": (["--B", "--alpha"], [[]]),
-    "walls": ([], [["--mu"], ["--B", "--delta", "--alpha-min"]]),
-    "reconstruct": ([], [["--B", "--alpha"], ["--mass-table"], ["--mass-table"]]),
-    "lax": (["--mu"], [[], ["--l-min", "--l-max"]]),
-    "separate": (["--mu"], [[], ["--search-limit"]]),
+    "pair": (["--u", "--v"], [[]], ["--jobs"]),
+    "enum": (["--box"], [[], ["--mu"]], ["--out", "--jobs"]),
+    "basis": (["--box"], [[]], ["--jobs"]),
+    "chamber": (["--box", "--B", "--alpha"], [[]], ["--mode", "--tol", "--jobs"]),
+    "walls": (["--box"], [["--mu"], ["--B", "--delta", "--alpha-min"]], ["--jobs"]),
+    "reconstruct": (
+        ["--box"],
+        [["--B", "--alpha"], ["--mass-table"], ["--mass-table"]],
+        ["--mode", "--tol", "--jobs"],
+    ),
+    "lax": (["--box", "--mu"], [[], ["--l-min", "--l-max"]], ["--out", "--jobs"]),
+    "separate": (["--box", "--mu"], [[], ["--search-limit"]], ["--jobs"]),
 }
 
 JSON_JUNK = st.one_of(
@@ -153,9 +158,9 @@ def _write(tmp_dir, name, payload):
 def invocations(draw, tmp_dir, lattice_sources):
     """A well-formed argv for one command, then up to three mutations."""
     command = draw(st.sampled_from(sorted(FLAGS)))
-    required, groups = FLAGS[command]
-    flags = ["--box"] + required + draw(st.sampled_from(groups))
-    flags += [f for f in COMMON if draw(st.booleans())]
+    required, groups, optional = FLAGS[command]
+    flags = required + draw(st.sampled_from(groups))
+    flags += [f for f in optional if draw(st.booleans())]
     values = {f: draw(VALUES[f]) for f in flags if f != "--mass-table"}
     if "--mass-table" in flags:
         values["--mass-table"] = _write(tmp_dir, "masses.json", {"masses": GOOD_TABLE})

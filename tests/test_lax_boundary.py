@@ -4,13 +4,17 @@ from fractions import Fraction
 import pytest
 
 from k3lax import (
+    BWParams,
     IrrationalityCertificate,
     LaxPoint,
     MukaiVector,
+    NSLattice,
     QuadNumber,
     SearchBox,
+    SphericalClass,
     build_lax_point,
     chi_functional,
+    closed_form_Z,
     family_masses,
     irrationality_certificate,
     separate_from_hom_functionals,
@@ -24,6 +28,7 @@ from k3lax.errors import (
     NoSphericalClass,
     SearchLimitExceeded,
 )
+from k3lax import lax_boundary
 from k3lax.selftest import random_vector
 
 BOX = SearchBox(8, 8, 40)
@@ -61,18 +66,27 @@ class TestBuildLaxPoint:
         with pytest.raises(NoSphericalClass):
             build_lax_point(rho1_d1, Fraction(1, 3), SearchBox(2, 2, 10))
 
+    def test_point_is_its_class(self, all_lattices):
+        assert LaxPoint._fields == ("lattice", "delta0")
+        for lat in all_lattices:
+            lp = build_lax_point(lat, Fraction(0), BOX)
+            assert lp == LaxPoint(lat, lp.delta0)
+            assert lp.d == lat.degree
+            assert lp.mu == 0 and isinstance(lp.mu, Fraction)
+            assert all(isinstance(c, Fraction) for c in lp.b0)
+            assert lp.alpha0 == QuadNumber(0, Fraction(1, lp.r0 * lp.d), lp.d)
+
     def test_validate_catches_tampering(self, rho1_d1):
-        lp = build_lax_point(rho1_d1, Fraction(0), BOX)
-        broken = LaxPoint(
-            lp.lattice, lp.delta0, (Fraction(1),), lp.alpha0, lp.d, lp.mu
-        )
-        with pytest.raises(InternalInvariantError):
-            broken.validate()
-        wrong_alpha = LaxPoint(
-            lp.lattice, lp.delta0, lp.b0, QuadNumber(2), lp.d, lp.mu
-        )
-        with pytest.raises(InternalInvariantError):
-            wrong_alpha.validate()
+        # a point is its class, so only a bad class can break it;
+        # SphericalClass itself would refuse (1, 0, 0), so bypass it
+        for v, message in (
+            (MukaiVector(1, (0,), 0), "not spherical"),
+            (MukaiVector(-1, (0,), -1), "positive rank"),
+        ):
+            head = object.__new__(SphericalClass)
+            object.__setattr__(head, "v", v)
+            with pytest.raises(InternalInvariantError, match=message):
+                LaxPoint(rho1_d1, head).validate()
 
 
 class TestBoundaryCharge:
@@ -107,14 +121,40 @@ class TestBoundaryCharge:
                         assert part.is_rational
                         assert part.a.denominator == 1
 
-    def test_guard_on_broken_point(self, rho1_d1):
+    def test_guard_on_broken_point(self, rho1_d1, monkeypatch):
         lp = build_lax_point(rho1_d1, Fraction(0), BOX)
-        # bypassing validate with an off-ray B-field breaks discreteness
-        broken = LaxPoint(
-            lp.lattice, lp.delta0, (Fraction(1, 3),), lp.alpha0, lp.d, lp.mu
+        # a derived point cannot leave its ray, so the fault is injected:
+        # the charge is built at the off-ray B-field 1/3
+        real = lax_boundary.omega_from_bw
+        monkeypatch.setattr(
+            lax_boundary,
+            "omega_from_bw",
+            lambda lat, params: real(lat, BWParams((Fraction(1, 3),), params.alpha)),
         )
-        with pytest.raises(InternalInvariantError):
-            z_alpha0(broken, MukaiVector(0, (1,), 0))
+        with pytest.raises(InternalInvariantError, match="discrete value group"):
+            z_alpha0(lp, MukaiVector(0, (1,), 0))
+        with pytest.raises(InternalInvariantError, match="discrete value group"):
+            family_masses(lp, 1, 1)
+
+    def test_compiled_charge_matches_closed_form(self, all_lattices):
+        # sqrt(4) folds into Q on the square degree, so its sqrt(d) forms vanish
+        lattices = all_lattices + [NSLattice([[8]], [1])]
+        rng = random.Random(23)
+        for lat in lattices:
+            points = []
+            for mu in (Fraction(0), Fraction(1), Fraction(8)):
+                try:
+                    points.append(build_lax_point(lat, mu, BOX))
+                except NoSphericalClass:
+                    continue
+            assert points, lat
+            for lp in points:
+                for _ in range(200):
+                    v = random_vector(rng, lat.rank)
+                    assert z_alpha0(lp, v) == closed_form_Z(lat, lp.b0, lp.alpha0, v)
+                for ell, mass in family_masses(lp, -4, 4):
+                    twisted = tensor_line_bundle(lat, ell, lp.delta0)
+                    assert mass == closed_form_Z(lat, lp.b0, lp.alpha0, twisted).norm_square()
 
 
 class TestFamilyMasses:
@@ -198,6 +238,7 @@ class TestCertificates:
             {"val_l0": 1},
             {"val_l1": 0},
             {"a": 0},
+            {"a": True},  # True == 1 would pass every arithmetic check
             {"l1": -1},
         ]
         for patch in bad_fields:
@@ -227,6 +268,8 @@ class TestCertificates:
             irrationality_certificate(-3)
         with pytest.raises(DomainError):
             irrationality_certificate(Fraction(1, 2))
+        with pytest.raises(DomainError):
+            irrationality_certificate(True)
 
     def test_search_limit(self):
         with pytest.raises(SearchLimitExceeded):

@@ -81,16 +81,8 @@ CASES = [
     ),
     (
         LaxPoint,
-        {
-            "lattice": LAT,
-            "delta0": SC,
-            "b0": (Fraction(0),),
-            "alpha0": QuadNumber(0, 1, 1),
-            "d": 1,
-            "mu": Fraction(0),
-        },
-        f"LaxPoint(lattice=NSLattice(rho1-d1), delta0={SC_REPR}, b0=(Fraction(0, 1),), "
-        "alpha0=QuadNumber(1, 0, d=1), d=1, mu=Fraction(0, 1))",
+        {"lattice": LAT, "delta0": SC},
+        f"LaxPoint(lattice=NSLattice(rho1-d1), delta0={SC_REPR})",
     ),
     (
         IrrationalityCertificate,
