@@ -11,6 +11,7 @@ violated internal invariants (including selftest failures).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -150,8 +151,6 @@ def _vector(coords: tuple[int, ...], lat: NSLattice, label: str) -> MukaiVector:
 
 
 def _b_field(cfg: RunConfig, lat: NSLattice) -> tuple[Fraction, ...]:
-    if cfg.b_field is None:
-        raise ConfigError("--B is required here")
     if len(cfg.b_field) != lat.rank:
         raise ConfigError(
             f"--B needs {lat.rank} entries for rank {lat.rank}, got {len(cfg.b_field)}"
@@ -206,8 +205,6 @@ def _mass_value(raw, mode: str):
 
 
 def _cmd_pair(lat: NSLattice, cfg: RunConfig):
-    if cfg.u is None or cfg.v is None:
-        raise ConfigError("pair needs --u and --v")
     u = _vector(cfg.u, lat, "--u")
     v = _vector(cfg.v, lat, "--v")
     results = {
@@ -257,8 +254,6 @@ def _cmd_basis(lat: NSLattice, cfg: RunConfig):
 
 
 def _cmd_chamber(lat: NSLattice, cfg: RunConfig):
-    if cfg.b_field is None or cfg.alpha is None:
-        raise ConfigError("chamber needs --B and --alpha")
     b = _b_field(cfg, lat)
     omega = omega_from_bw(lat, BWParams(b, cfg.alpha))
     box = SearchBox(*cfg.box)
@@ -351,8 +346,6 @@ def _cmd_reconstruct(lat: NSLattice, cfg: RunConfig):
 
 
 def _cmd_lax(lat: NSLattice, cfg: RunConfig):
-    if cfg.mu is None:
-        raise ConfigError("lax needs --mu")
     if cfg.l_min > cfg.l_max:
         raise ConfigError("--l-min must not exceed --l-max")
     lp = build_lax_point(lat, cfg.mu, SearchBox(*cfg.box))
@@ -378,8 +371,6 @@ def _cmd_lax(lat: NSLattice, cfg: RunConfig):
 
 
 def _cmd_separate(lat: NSLattice, cfg: RunConfig):
-    if cfg.mu is None:
-        raise ConfigError("separate needs --mu")
     lp = build_lax_point(lat, cfg.mu, SearchBox(*cfg.box))
     report = separate_from_hom_functionals(lp, search_limit=cfg.search_limit)
     cert = report.certificate
@@ -416,29 +407,75 @@ def _cmd_selftest(lat: None, cfg: RunConfig):
 # ---------------------------------------------------------------- driver
 
 
-# The RunConfig field behind each flag that several commands share
-_SHARED = {
-    "--lattice": "lattice_path",
-    "--box": "box",
-    "--mode": "mode",
-    "--tol": "tolerance",
-    "--out": "output",
+# A range check: a predicate on the parsed value, and the rest of its
+# error message after the flag, formatted with the value.
+_AT_LEAST_ONE = (lambda n: n >= 1, "must be at least 1")
+_POSITIVE = (lambda x: x > 0, "must be positive, got {}")
+_FINITE_POSITIVE = (lambda x: 0 < x < math.inf, "must be finite and positive, got {!r}")
+_BOX_BOUNDS = (
+    lambda box: len(box) == 3 and all(_is_int(b) and b >= 0 for b in box),
+    "needs three nonnegative integers R,D,S, got {!r}",
+)
+
+# Each flag: the RunConfig field it sets, how its text parses (a function,
+# or the tuple of its choices), its range check or None, and its help.
+_FLAGS = {
+    "--lattice": ("lattice_path", str, None, "path to a lattice JSON file"),
+    "--box": ("box", _parse_box, _BOX_BOUNDS, "search bounds R,D,S"),
+    "--mode": ("mode", ("exact", "float"), None, "exact arithmetic, or floats within --tol"),
+    "--tol": ("tolerance", float, _FINITE_POSITIVE, "float-mode tolerance"),
+    "--out": ("output", ("json", "csv"), None, "report format; csv writes the result table"),
+    "--jobs": ("jobs", int, _AT_LEAST_ONE, "accepted for compatibility; runs use one thread"),
+    "--seed": ("seed", int, None, "seed of the suite's random samples"),
+    "--u": ("u", _parse_ints, None, "vector r,D...,s"),
+    "--v": ("v", _parse_ints, None, "vector r,D...,s"),
+    "--mu": ("mu", _parse_fraction, None, "slope mu as p/q"),
+    "--B": ("b_field", _parse_fractions, None, "B-field entries p/q,..."),
+    "--alpha": ("alpha", _parse_fraction, _POSITIVE, "scale alpha as p/q"),
+    "--delta": ("delta", _parse_ints, None, "reference spherical vector r,D...,s"),
+    "--alpha-min": ("alpha_min", _parse_fraction, _POSITIVE, "report roots above this"),
+    "--mass-table": ("mass_table", str, None, "JSON file of squared masses"),
+    "--l-min": ("l_min", int, None, "first twist l"),
+    "--l-max": ("l_max", int, None, "last twist l"),
+    "--search-limit": ("search_limit", int, _AT_LEAST_ONE, "steps of the prime search"),
 }
 
-# Each command with the shared flags it reads, besides --jobs, which every
-# command takes.  The parser offers a command only these flags, and
-# `_execute` rejects a RunConfig that sets any other away from its default.
+# Each command: its handler, its help, and the flags it reads in --help
+# order, a trailing "*" marking one the parser requires.  The parser offers
+# a command only these flags, and `_execute` rejects a RunConfig that sets
+# any other field away from its default.  --lattice carries no mark: the
+# file is read after parsing, and `_execute` reports a missing one.
 _COMMANDS = {
-    "pair": (_cmd_pair, ("--lattice",)),
-    "enum": (_cmd_enum, ("--lattice", "--box", "--out")),
-    "basis": (_cmd_basis, ("--lattice", "--box")),
-    "chamber": (_cmd_chamber, ("--lattice", "--box", "--mode", "--tol")),
-    "walls": (_cmd_walls, ("--lattice", "--box")),
-    "reconstruct": (_cmd_reconstruct, ("--lattice", "--box", "--mode", "--tol")),
-    "lax": (_cmd_lax, ("--lattice", "--box", "--out")),
-    "separate": (_cmd_separate, ("--lattice", "--box")),
+    "pair": (_cmd_pair, "Mukai pairing of two vectors", "--lattice --jobs --u* --v*"),
+    "enum": (_cmd_enum, "spherical classes in a box", "--lattice --box --out --jobs --mu"),
+    "basis": (_cmd_basis, "good spherical basis and companions", "--lattice --box --jobs"),
+    "chamber": (
+        _cmd_chamber,
+        "positivity and wall hits of a charge",
+        "--lattice --box --mode --tol --jobs --B* --alpha*",
+    ),
+    "walls": (
+        _cmd_walls,
+        "alignment parameters above a base scale",
+        "--lattice --box --jobs --mu --B --delta --alpha-min",
+    ),
+    "reconstruct": (
+        _cmd_reconstruct,
+        "charge from squared masses",
+        "--lattice --box --mode --tol --jobs --B --alpha --mass-table",
+    ),
+    "lax": (
+        _cmd_lax,
+        "boundary charge and its mass family",
+        "--lattice --box --out --jobs --mu* --l-min --l-max",
+    ),
+    "separate": (
+        _cmd_separate,
+        "irrationality separation report",
+        "--lattice --box --jobs --mu* --search-limit",
+    ),
     # the suite fixes its own lattices, box, mode and tolerance
-    "selftest": (_cmd_selftest, ()),
+    "selftest": (_cmd_selftest, "run the built-in invariant suite", "--jobs --seed"),
 }
 
 
@@ -450,27 +487,21 @@ def _execute(config: RunConfig):
     """
     if config.command not in _COMMANDS:
         raise ConfigError(f"unknown command {config.command!r}")
-    handler, reads = _COMMANDS[config.command]
-    for flag, field in _SHARED.items():
-        if flag not in reads and getattr(config, field) != RunConfig._defaults[field]:
-            raise ConfigError(f"{config.command} does not take {flag}")
-    if config.mode not in ("exact", "float"):
-        raise ConfigError(f"--mode must be exact or float, got {config.mode!r}")
-    if config.output not in ("json", "csv"):
-        raise ConfigError(f"--out must be json or csv, got {config.output!r}")
-    if config.jobs < 1:
-        raise ConfigError("--jobs must be at least 1")
-    if config.search_limit < 1:
-        raise ConfigError("--search-limit must be at least 1")
-    if not 0 < config.tolerance < math.inf:
-        raise ConfigError(f"--tol must be finite and positive, got {config.tolerance!r}")
-    if len(config.box) != 3 or not all(_is_int(b) and b >= 0 for b in config.box):
-        raise ConfigError(
-            f"--box needs three nonnegative integers R,D,S, got {config.box!r}"
-        )
-    for label, value in (("--alpha", config.alpha), ("--alpha-min", config.alpha_min)):
-        if value is not None and value <= 0:
-            raise ConfigError(f"{label} must be positive, got {value}")
+    handler, _, flags = _COMMANDS[config.command]
+    reads = {flag.rstrip("*"): flag.endswith("*") for flag in flags.split()}
+    for flag, (field, parse, check, _) in _FLAGS.items():
+        value = getattr(config, field)
+        if flag not in reads:
+            if value != RunConfig._defaults[field]:
+                raise ConfigError(f"{config.command} does not take {flag}")
+        elif isinstance(parse, tuple):
+            if value not in parse:
+                raise ConfigError(f"{flag} must be {' or '.join(parse)}, got {value!r}")
+        elif value is None:
+            if reads[flag]:
+                raise ConfigError(f"{config.command} needs {flag}")
+        elif check is not None and not check[0](value):
+            raise ConfigError(f"{flag} {check[1].format(value)}")
     lat = None
     if "--lattice" in reads:
         if config.lattice_path is None:
@@ -536,62 +567,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def option(p, flag, parse=None, **kwargs):
-        if parse is not None:
-            kwargs["type"] = lambda text: parse(text, flag)
-        if "dest" in kwargs and "choices" not in kwargs:
-            # --help shows the metavar argparse derives from the flag
-            kwargs["metavar"] = flag[2:].upper()
-        p.add_argument(flag, action=_Value, **kwargs)
-
-    shared = {flag: argparse.ArgumentParser(add_help=False) for flag in (*_SHARED, "--jobs")}
-    option(shared["--lattice"], "--lattice", dest="lattice_path", help="path to a lattice JSON file")
-    option(shared["--box"], "--box", _parse_box, help="search bounds R,D,S")
-    option(shared["--mode"], "--mode", choices=("exact", "float"))
-    option(shared["--out"], "--out", dest="output", choices=("json", "csv"))
-    option(shared["--tol"], "--tol", dest="tolerance", type=float)
-    option(shared["--jobs"], "--jobs", type=int)
-
-    def command(name, help):
-        parents = [shared[flag] for flag in (*_COMMANDS[name][1], "--jobs")]
-        return sub.add_parser(name, parents=parents, help=help)
-
-    p = command("pair", "Mukai pairing of two vectors")
-    option(p, "--u", _parse_ints, required=True, help="vector r,D...,s")
-    option(p, "--v", _parse_ints, required=True, help="vector r,D...,s")
-
-    p = command("enum", "spherical classes in a box")
-    option(p, "--mu", _parse_fraction, help="restrict to positive-rank classes of this slope")
-
-    command("basis", "good spherical basis and companions")
-
-    p = command("chamber", "positivity and wall hits of a charge")
-    option(p, "--B", _parse_fractions, dest="b_field", required=True, help="B-field entries p/q,...")
-    option(p, "--alpha", _parse_fraction, required=True, help="scale alpha as p/q")
-
-    p = command("walls", "alignment parameters above a base scale")
-    option(p, "--mu", _parse_fraction, help="use the boundary data of this slope")
-    option(p, "--B", _parse_fractions, dest="b_field", help="B-field entries p/q,...")
-    option(p, "--delta", _parse_ints, help="reference spherical vector r,D...,s")
-    option(p, "--alpha-min", _parse_fraction, help="report roots above this")
-
-    p = command("reconstruct", "charge from squared masses")
-    option(p, "--B", _parse_fractions, dest="b_field", help="hidden charge B-field p/q,...")
-    option(p, "--alpha", _parse_fraction, help="hidden charge alpha p/q")
-    option(p, "--mass-table", help="JSON file of squared masses")
-
-    p = command("lax", "boundary charge and its mass family")
-    option(p, "--mu", _parse_fraction, required=True, help="slope of the boundary class")
-    option(p, "--l-min", type=int)
-    option(p, "--l-max", type=int)
-
-    p = command("separate", "irrationality separation report")
-    option(p, "--mu", _parse_fraction, required=True, help="slope of the boundary class")
-    option(p, "--search-limit", type=int)
-
-    p = command("selftest", "run the built-in invariant suite")
-    option(p, "--seed", type=int)
+    for name, (_, help, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help)
+        for marked in flags.split():
+            flag = marked.rstrip("*")
+            field, parse, _, text = _FLAGS[flag]
+            if isinstance(parse, tuple):
+                kwargs = {"choices": parse}
+            else:
+                # argparse names int, float and str in its own errors; the
+                # package's parsers name the flag in theirs
+                if parse not in (int, float, str):
+                    parse = functools.partial(parse, label=flag)
+                # --help shows the metavar argparse derives from the flag
+                kwargs = {"type": parse, "metavar": flag[2:].replace("-", "_").upper()}
+            p.add_argument(
+                flag, action=_Value, dest=field, required=marked.endswith("*"), help=text, **kwargs
+            )
     return parser
 
 

@@ -301,9 +301,8 @@ def separate_from_hom_functionals(
     a = lp.r0 * lp.r0 * lp.d
     cert = irrationality_certificate(a, search_limit=search_limit)
     lat = lp.lattice
-    # family_masses checks each value against the integer d*l^2*f(l)
-    masses = dict(family_masses(lp, min(cert.l0, cert.l1), max(cert.l0, cert.l1)))
-    m0, m1 = int(masses[cert.l0].a), int(masses[cert.l1].a)
+    # family_masses checks each of the two against the integer d*l^2*f(l)
+    m0, m1 = (int(family_masses(lp, ell, ell)[0][1].a) for ell in (cert.l0, cert.l1))
     ratio_val = valuation(m1, cert.p) - valuation(m0, cert.p)
     if ratio_val % 2 == 0:
         raise InternalInvariantError("squared-mass ratio has even valuation")

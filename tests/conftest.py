@@ -1,3 +1,4 @@
+import argparse
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from k3lax import (
     good_basis,
     omega_from_bw,
 )
+from k3lax.cli import _build_parser
 from k3lax.selftest import default_lattices
 
 
@@ -46,3 +48,13 @@ def mass_table_entries() -> list[dict]:
         {"r": c.v.r, "D": list(c.v.D), "s": c.v.s, "mass_sq": str(oracle.query(c).a)}
         for c in targets
     ]
+
+
+def parser_options() -> dict[str, dict[str, bool]]:
+    """Each subcommand of the CLI parser with the options it accepts,
+    --help aside, each mapped to whether the parser requires it."""
+    (sub,) = (a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: {a.option_strings[0]: a.required for a in p._actions if a.dest != "help"}
+        for name, p in sub.choices.items()
+    }

@@ -1,9 +1,11 @@
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from conftest import parser_options
 from k3lax import (
     BWParams,
     MassOracle,
@@ -257,6 +259,53 @@ class TestRender:
         assert render_report(report, config, table) == "l,mass_sq\n1,5\n2,32\n"
 
 
+# every flag that only some commands take, with a value it would parse,
+# as typed and as its RunConfig field; and the commands that take each
+OWN = {
+    "--seed": ("5", "seed", 5),
+    "--u": ("1,0,1", "u", (1, 0, 1)),
+    "--v": ("1,0,1", "v", (1, 0, 1)),
+    "--mu": ("3", "mu", Fraction(3)),
+    "--B": ("0", "b_field", (Fraction(0),)),
+    "--alpha": ("2", "alpha", Fraction(2)),
+    "--delta": ("1,0,1", "delta", (1, 0, 1)),
+    "--alpha-min": ("1", "alpha_min", Fraction(1)),
+    "--l-min": ("9", "l_min", 9),
+    "--l-max": ("9", "l_max", 9),
+    "--mass-table": ("T", "mass_table", "T"),
+    "--search-limit": ("7", "search_limit", 7),
+}
+TAKEN_BY = {
+    "--seed": {"selftest"},
+    "--u": {"pair"},
+    "--v": {"pair"},
+    "--mu": {"enum", "walls", "lax", "separate"},
+    "--B": {"chamber", "walls", "reconstruct"},
+    "--alpha": {"chamber", "reconstruct"},
+    "--delta": {"walls"},
+    "--alpha-min": {"walls"},
+    "--l-min": {"lax"},
+    "--l-max": {"lax"},
+    "--mass-table": {"reconstruct"},
+    "--search-limit": {"separate"},
+}
+# a valid run of each command, as typed and as RunConfig fields
+COMMAND_ARGS = {
+    "pair": (["--u", "1,0,1", "--v", "1,0,1"], dict(u=(1, 0, 1), v=(1, 0, 1))),
+    "enum": ([], {}),
+    "lax": (["--mu", "0"], dict(mu=Fraction(0))),
+    "basis": ([], {}),
+    "walls": (["--mu", "0"], dict(mu=Fraction(0))),
+    "separate": (["--mu", "0"], dict(mu=Fraction(0))),
+    "chamber": (["--B", "0", "--alpha", "1"], dict(b_field=(Fraction(0),), alpha=Fraction(1))),
+    "reconstruct": (
+        ["--B", "1/2", "--alpha", "3/2"],
+        dict(b_field=(Fraction(1, 2),), alpha=Fraction(3, 2)),
+    ),
+    "selftest": ([], {}),
+}
+
+
 class TestMain:
     def _capture(self, capsys, argv):
         code = main(argv)
@@ -471,30 +520,30 @@ class TestMain:
         ("chamber", "--out", "json", "output", "csv"),
         ("reconstruct", "--out", "json", "output", "csv"),
     ]
-    COMMAND_ARGS = {
-        "pair": ["--u", "1,0,1", "--v", "1,0,1"],
-        "enum": [],
-        "lax": ["--mu", "0"],
-        "basis": [],
-        "walls": ["--mu", "0"],
-        "separate": ["--mu", "0"],
-        "chamber": ["--B", "0", "--alpha", "1"],
-        "reconstruct": ["--B", "1/2", "--alpha", "3/2"],
-    }
+    UNREAD += [
+        (command, flag, *OWN[flag])
+        for command in COMMAND_ARGS
+        for flag in OWN
+        if command not in TAKEN_BY[flag]
+    ]
 
     @pytest.mark.parametrize(
         "command, flag, text, field, value", UNREAD, ids=[f"{c}{f}" for c, f, *_ in UNREAD]
     )
     def test_unread_shared_flag_exits_2(self, capsys, command, flag, text, field, value):
-        argv = [command, "--lattice", R1D1, *self.COMMAND_ARGS[command], flag, text]
+        args, fields = COMMAND_ARGS[command]
+        lattice = {} if command == "selftest" else {"lattice_path": R1D1}
+        argv = [command, *(["--lattice", R1D1] if lattice else []), *args, flag, text]
         code, out = self._capture(capsys, argv)
         assert code == 2
-        assert json.loads(out)["error"] == {
-            "type": "ConfigError",
-            "message": f"unrecognized arguments: {flag} {text}",
-        }
+        # argparse reads --alpha on walls as an abbreviation of --alpha-min
+        if (command, flag) != ("walls", "--alpha"):
+            assert json.loads(out)["error"] == {
+                "type": "ConfigError",
+                "message": f"unrecognized arguments: {flag} {text}",
+            }
         with pytest.raises(ConfigError, match=f"{command} does not take {flag}"):
-            run(RunConfig(command=command, lattice_path=R1D1, **{field: value}))
+            run(RunConfig(command=command, **lattice, **fields, **{field: value}))
 
     def test_pair_rejects_flags_it_would_report(self, capsys):
         argv = [
@@ -504,6 +553,12 @@ class TestMain:
         code, out = self._capture(capsys, argv)
         assert code == 2
         assert json.loads(out)["error"]["type"] == "ConfigError"
+        config = RunConfig(
+            command="pair", lattice_path=R1D1, u=(1, 0, 1), v=(1, 0, 1),
+            mu=Fraction(3), l_min=9, search_limit=7, alpha=Fraction(2), seed=5,
+        )
+        with pytest.raises(ConfigError, match="pair does not take --seed"):
+            run(config)
 
     def test_selftest_config_rejects_a_lattice(self):
         with pytest.raises(ConfigError, match="selftest does not take --lattice"):
@@ -550,6 +605,23 @@ class TestMain:
         assert all(form in error["message"] for form in forms)
         with pytest.raises(ConfigError, match="not both"):
             run(RunConfig(lattice_path=R1D1, **fields))
+
+
+def test_readme_flag_table_matches_parser():
+    """README "Command line" lists each subcommand's flags as the parser
+    accepts them, the required ones apart."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    table = {
+        name: (set(re.findall(r"`(--[\w-]+)`", required)), set(re.findall(r"`(--[\w-]+)`", rest)))
+        for name, required, rest in re.findall(r"^\| `(\w+)` \|(.*)\|(.*)\|$", section, re.M)
+    }
+    accepted = parser_options()
+    assert set(table) == set(accepted)
+    for name, options in accepted.items():
+        # the parser leaves a missing --lattice to `_execute`, which names it
+        required = {flag for flag, needed in options.items() if needed or flag == "--lattice"}
+        assert table[name] == (required, set(options) - required), name
 
 
 class TestMassTableFlow:

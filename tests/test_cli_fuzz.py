@@ -21,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from conftest import mass_table_entries
+from conftest import mass_table_entries, parser_options
 from k3lax.cli import main
 
 LATTICE_DIR = Path(__file__).resolve().parents[1] / "lattices"
@@ -90,6 +90,18 @@ FLAGS = {
     "lax": (["--box", "--mu"], [[], ["--l-min", "--l-max"]], ["--out", "--jobs"]),
     "separate": (["--box", "--mu"], [[], ["--search-limit"]], ["--jobs"]),
 }
+
+
+def test_flags_name_every_option():
+    """FLAGS names each option a fuzzed subcommand accepts, so no flag goes
+    unfuzzed; --lattice is drawn separately, and selftest, which runs the
+    whole invariant suite, is left to tests/test_selftest.py."""
+    accepted = parser_options()
+    assert set(FLAGS) == set(accepted) - {"selftest"}
+    for command, (required, groups, optional) in FLAGS.items():
+        named = {*required, *(flag for group in groups for flag in group), *optional}
+        assert named == set(accepted[command]) - {"--lattice"}, command
+
 
 JSON_JUNK = st.one_of(
     st.none(),

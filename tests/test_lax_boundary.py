@@ -300,12 +300,20 @@ class TestSeparation:
         assert (report.mass_sq_l0, report.mass_sq_l1) == (8, 80)
         assert report.ratio_valuation == 1
 
-    def test_degree_two(self, rho1_d2):
-        report = separate_from_hom_functionals(
-            build_lax_point(rho1_d2, Fraction(0), BOX)
-        )
+    def test_degree_two(self, rho1_d2, monkeypatch):
+        lp = build_lax_point(rho1_d2, Fraction(0), BOX)
+        evaluated = []
+
+        def spy(lp, charge, v, real=lax_boundary._discrete_value):
+            evaluated.append(v)
+            return real(lp, charge, v)
+
+        monkeypatch.setattr(lax_boundary, "_discrete_value", spy)
+        report = separate_from_hom_functionals(lp)
         assert report.a == 2
-        assert report.certificate.p == 17
+        assert (report.certificate.p, report.certificate.l0, report.certificate.l1) == (17, 1, 7)
+        # the charge is evaluated on the two certificate twists only, not on 1..7
+        assert evaluated == [tensor_line_bundle(rho1_d2, ell, lp.delta0) for ell in (1, 7)]
         assert (report.mass_sq_l0, report.mass_sq_l1) == (12, 9996)
         assert report.ratio_valuation % 2 == 1
         assert (report.chi_l0, report.chi_l1) == (4, 100)
