@@ -350,49 +350,46 @@ def wall_scan_alpha(
     >= -2.  A candidate aligned at every alpha (both coefficients zero)
     is reported separately and contributes no root.
 
-    The scan runs in integer arithmetic: with q clearing the denominators
-    of B, q*I_v and 2*q^2*c_v are integers.  For fixed (r, D) both square
-    filters, w^2 = D^2 - 2rs and (delta - w)^2, are linear in s, so they
-    cut the s range down to one interval [lo, hi].  The cost is one pass
-    over the D grid plus one step per (r, D) and per candidate inside its
-    interval, not per class in the box; a vector is built only for a
-    root above alpha_min or an aligned class.
+    The scan runs in integer arithmetic on the charge compiled at alpha =
+    1, where re_a . v = L (c_v + r_v d) and im_a . v = L I_v.  For fixed
+    (r, D) both square filters, w^2 = D^2 - 2rs and (delta - w)^2, are
+    linear in s, so they cut the s range down to one interval [lo, hi].
+    The cost is one pass over the D grid plus one step per (r, D) and per
+    candidate inside its interval, not per class in the box; a vector is
+    built only for a root above alpha_min or an aligned class.
     """
     delta_v = as_vector(delta)
-    B = tuple(Fraction(c) for c in b_field)
-    if len(B) != lat.rank:
-        raise DimensionError(f"B has length {len(B)}, lattice rank is {lat.rank}")
+    forms = compile_charge(lat, omega_from_bw(lat, BWParams(b_field, 1)))
     if not isinstance(alpha_min, QuadNumber):
         alpha_min = QuadNumber(Fraction(alpha_min))
     if alpha_min.sign() <= 0:
         raise DomainError("alpha_min must be positive")
     if delta_v.is_zero:
         raise DomainError("reference class must be nonzero")
-    # alpha_min^2 = (A + M * sqrt(e)) / L with integers A, M and L > 0
+    # alpha_min^2 = (A + M * sqrt(e)) / F with integers A, M and F > 0
     floor_sq = alpha_min * alpha_min
     a, m, e = floor_sq.a, floor_sq.b, floor_sq.d
-    L = math.lcm(a.denominator, m.denominator)
-    A, M = a.numerator * (L // a.denominator), m.numerator * (L // m.denominator)
-    q = math.lcm(*(c.denominator for c in B))
-    P = tuple(int(c * q) for c in B)  # q * B, integral
-    gp = tuple(sum(map(operator.mul, row, P)) for row in lat.gram)  # G . P
-    ph, pp = lat.dot_ample(P), sum(map(operator.mul, gp, P))
+    F = math.lcm(a.denominator, m.denominator)
+    A, M = a.numerator * (F // a.denominator), m.numerator * (F // m.denominator)
+    L, d = forms.denom, forms.d
+    # L * I_w = im_r * r + im_D . D and L * c_w = re_r * r + re_D . D - L * s
+    im_r, im_D = forms.im_a[0], forms.im_a[1:-1]
+    re_r, re_D = forms.re_a[0] - L * d, forms.re_a[1:-1]
     dr, dD, ds = delta_v.r, delta_v.D, delta_v.s
-    # (q * I_delta, 2 * q^2 * c_delta)
-    i_delta = q * lat.dot_ample(dD) - dr * ph
-    c_delta = 2 * q * sum(map(operator.mul, gp, dD)) - 2 * q * q * ds - dr * pp
-    k1 = 2 * q * q * i_delta  # the s-coefficient of I_w c_delta - I_delta c_w
-    scale = 2 * q * q * lat.degree
-    grid = []  # per D: D^2, (delta_D - D)^2, q * H.D, 2q * P.D
+    re_delta, _, i_delta, _ = forms.ints(delta_v)  # L * (c_delta + dr d), L * I_delta
+    c_delta = re_delta - L * d * dr
+    k1 = L * i_delta  # the s-coefficient of I_w c_delta - I_delta c_w
+    scale = L * d
+    grid = []  # per D: D^2, (delta_D - D)^2, L * H.D, L * B.D
     for D in itertools.product(range(-box.d_bound, box.d_bound + 1), repeat=lat.rank):
         rest = tuple(map(operator.sub, dD, D))
-        qpd = 2 * q * sum(map(operator.mul, gp, D))
-        grid.append((D, lat.dot(D, D), lat.dot(rest, rest), q * lat.dot_ample(D), qpd))
+        hd, bd = sum(map(operator.mul, im_D, D)), sum(map(operator.mul, re_D, D))
+        grid.append((D, lat.dot(D, D), lat.dot(rest, rest), hd, bd))
     roots: dict[tuple[int, int], list[MukaiVector]] = {}
     aligned: list[MukaiVector] = []
     for r in range(-box.r_max, box.r_max + 1):
         rho = dr - r
-        for D, d_sq, e_sq, qhd, qpd in grid:
+        for D, d_sq, e_sq, hd, bd in grid:
             # w^2 >= -2 is 2rs <= D^2 + 2; (delta - w)^2 >= -2 is
             # 2 rho (ds - s) <= e^2 + 2 with rho = dr - r
             lo, hi = -box.s_bound, box.s_bound
@@ -408,9 +405,9 @@ def wall_scan_alpha(
                 hi = min(hi, ds + (e_sq + 2) // (-2 * rho))
             elif e_sq < -2:
                 continue
-            i_w = qhd - r * ph
+            i_w = hd + r * im_r
             coeff = i_w * dr - i_delta * r
-            k0 = i_w * c_delta - i_delta * (qpd - r * pp)  # const = k0 + k1 * s
+            k0 = i_w * c_delta - i_delta * (bd + r * re_r)  # const = k0 + k1 * s
             if coeff == 0:
                 for s in range(lo, hi + 1):
                     if k0 + k1 * s == 0:
@@ -419,11 +416,11 @@ def wall_scan_alpha(
                             aligned.append(w)
                 continue
             # alpha^2 = num / den with den > 0 and num = n0 + n1 * s; it
-            # exceeds alpha_min^2 where L * num - A * den > M * den * sqrt(e)
+            # exceeds alpha_min^2 where F * num - A * den > M * den * sqrt(e)
             den, n0, n1 = (scale * coeff, -k0, -k1) if coeff > 0 else (-scale * coeff, k0, k1)
-            g0, g1, mden = n0 * L - A * den, n1 * L, -M * den
+            g0, g1, mden = n0 * F - A * den, n1 * F, -M * den
             for s in range(lo, hi + 1):
-                gap = g0 + g1 * s  # L * num - A * den
+                gap = g0 + g1 * s  # F * num - A * den
                 if (gap if M == 0 else quad_sign(gap, mden, e)) <= 0:
                     continue
                 num = n0 + n1 * s

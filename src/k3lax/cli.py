@@ -491,6 +491,8 @@ def _execute(config: RunConfig):
     reads = {flag.rstrip("*"): flag.endswith("*") for flag in flags.split()}
     for flag, (field, parse, check, _) in _FLAGS.items():
         value = getattr(config, field)
+        if parse is int and not _is_int(value):
+            raise ConfigError(f"{flag} must be an integer, got {value!r}")
         if flag not in reads:
             if value != RunConfig._defaults[field]:
                 raise ConfigError(f"{config.command} does not take {flag}")
@@ -559,16 +561,18 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> argparse.ArgumentParser:
     """Each option stores its parsed value under its RunConfig field name;
-    no option has a default, so RunConfig holds every default."""
+    no option has a default, so RunConfig holds every default.  None may be
+    abbreviated, so walls --alpha is unrecognized, not --alpha-min."""
     parser = _Parser(
         prog="k3lax",
+        allow_abbrev=False,
         description="Exact Mukai-lattice computations for stability charges "
         "on polarized K3 surfaces.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help, flags) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help)
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
         for marked in flags.split():
             flag = marked.rstrip("*")
             field, parse, _, text = _FLAGS[flag]

@@ -187,7 +187,11 @@ class IrrationalityCertificate(Value):
 def verify_certificate(cert: IrrationalityCertificate) -> None:
     """Re-check every certificate condition by direct integer arithmetic."""
     a, p, l0, l1 = cert.a, cert.p, cert.l0, cert.l1
-    if isinstance(a, bool) or a < 1:
+    entries = (a, p, l0, l1, cert.val_l0, cert.val_l1)
+    # bool is a subclass of int; True must not pass as 1
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in entries):
+        raise DomainError(f"certificate entries must be integers, got {entries!r}")
+    if a < 1:
         raise DomainError(f"certificate coefficient a = {a!r} must be a positive integer")
     if l0 < 1 or l1 < 1:
         raise DomainError("certificate twists must be positive")
@@ -226,6 +230,8 @@ def irrationality_certificate(
     """
     if not isinstance(a, int) or isinstance(a, bool) or a < 1:
         raise DomainError(f"certificate coefficient must be a positive integer, got {a!r}")
+    if not isinstance(search_limit, int) or isinstance(search_limit, bool):
+        raise DomainError(f"search_limit must be an integer, got {search_limit!r}")
     _, b = squarefree_decompose(a)
     # Residue class 1 mod 4 makes -1 a square; widening to 1 mod 8 for
     # even b makes 2 one as well, which "1 mod 2b" alone would not.

@@ -52,42 +52,31 @@ class SearchBox(Value):
         return (self.r_max, self.d_bound, self.s_bound)
 
 
-def _spherical_slice(lat: NSLattice, box: SearchBox, r: int) -> list[SphericalClass]:
-    """All spherical classes in the box with the given rank, in lex order."""
-    out: list[SphericalClass] = []
-    grid = itertools.product(
-        range(-box.d_bound, box.d_bound + 1), repeat=lat.rank
-    )
-    if r == 0:
-        for D in grid:
-            if lat.dot(D, D) != -2:
-                continue
-            for s in range(-box.s_bound, box.s_bound + 1):
-                out.append(SphericalClass(MukaiVector(0, D, s)))
-        return out
-    for D in grid:
-        # <v, v> = D^2 - 2rs = -2 pins s once r and D are chosen.
-        numerator = lat.dot(D, D) + 2
-        if numerator % (2 * r) != 0:
-            continue
-        s = numerator // (2 * r)
-        if abs(s) <= box.s_bound:
-            out.append(SphericalClass(MukaiVector(r, D, s)))
-    return out
-
-
 def enumerate_spherical(lat: NSLattice, box: SearchBox) -> list[SphericalClass]:
     """Every spherical class inside the box, sorted lexicographically.
 
-    The rank slices run one after another in one thread.  A thread pool
-    over the slices was slower at every measured size, because the loops
-    hold the GIL.
+    One pass over the D grid computes each D^2; the rank loop then reuses
+    it.  At r != 0, <v, v> = D^2 - 2rs = -2 pins s; at r = 0 the class is
+    spherical iff D^2 = -2, for every s in the box.
     """
-    return [
-        cls
-        for r in range(-box.r_max, box.r_max + 1)
-        for cls in _spherical_slice(lat, box, r)
-    ]
+    span = range(-box.d_bound, box.d_bound + 1)
+    grid = [(D, lat.dot(D, D)) for D in itertools.product(span, repeat=lat.rank)]
+    s_range = range(-box.s_bound, box.s_bound + 1)
+    out: list[SphericalClass] = []
+    for r in range(-box.r_max, box.r_max + 1):
+        if r == 0:
+            out.extend(
+                SphericalClass(MukaiVector(0, D, s))
+                for D, d_sq in grid
+                if d_sq == -2
+                for s in s_range
+            )
+            continue
+        for D, d_sq in grid:
+            s, rest = divmod(d_sq + 2, 2 * r)
+            if rest == 0 and abs(s) <= box.s_bound:
+                out.append(SphericalClass(MukaiVector(r, D, s)))
+    return out
 
 
 def delta_mu_plus(

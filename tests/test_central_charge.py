@@ -417,6 +417,15 @@ class TestWallScan:
         box=(2, 2, 6),
         alpha_min=Fraction(1, 2),
     )
+    # rho2_d1 with B = (1/2, 1/3): the compiled charge's denominator is 36,
+    # not 6, the lcm of B's denominators, so the root scale must be L * d
+    @example(
+        which=2,
+        b_entries=[Fraction(1, 2), Fraction(1, 3)],
+        delta=(1, [1, 0], 1),
+        box=(2, 2, 6),
+        alpha_min=Fraction(1, 6),
+    )
     def test_matches_brute_force(self, which, b_entries, delta, box, alpha_min):
         lat = default_lattices()[which]
         r, D, s = delta

@@ -225,6 +225,23 @@ class TestRun:
         with pytest.raises(ConfigError):
             run(RunConfig(lattice_path=R1D1, **fields))
 
+    @pytest.mark.parametrize(
+        "fields, flag",
+        [
+            ({"command": "lax", "mu": Fraction(0), "l_min": False, "l_max": True}, "--l-min"),
+            ({"command": "lax", "mu": Fraction(0), "l_max": 2.0}, "--l-max"),
+            ({"command": "enum", "jobs": True}, "--jobs"),
+            ({"command": "separate", "mu": Fraction(0), "search_limit": True}, "--search-limit"),
+            ({"command": "selftest", "lattice_path": None, "seed": True}, "--seed"),
+            ({"command": "pair", "u": (1, 0, 1), "v": (1, 0, 1), "seed": False}, "--seed"),
+        ],
+        ids=["l-min-l-max", "l-max-float", "jobs", "search-limit", "seed", "unread-seed"],
+    )
+    def test_integer_flags_reject_other_values(self, fields, flag):
+        # bool is an int, so True and False would otherwise run as 1 and 0
+        with pytest.raises(ConfigError, match=f"^{flag} must be an integer, got "):
+            run(RunConfig(**{"lattice_path": R1D1, **fields}))
+
 
 class TestRender:
     def test_json_roundtrip(self):
@@ -384,7 +401,13 @@ class TestMain:
         assert json.loads(out)["error"]["message"] == f"{flag} needs a value"
 
     def test_argparse_rejects_unknown(self, capsys):
-        for argv in (["frobnicate"], ["lax", "--lattice", R1D1]):
+        for argv in (
+            ["frobnicate"],
+            ["lax", "--lattice", R1D1],
+            # no flag may be abbreviated
+            ["enum", "--lattice", R1D1, "--bo", "1,1,2", "--ou", "csv"],
+            ["separate", "--lattice", R1D1, "--mu", "0", "--search", "3"],
+        ):
             code, out = self._capture(capsys, argv)
             assert code == 2, argv
             assert json.loads(out)["error"]["type"] == "ConfigError"
@@ -536,12 +559,10 @@ class TestMain:
         argv = [command, *(["--lattice", R1D1] if lattice else []), *args, flag, text]
         code, out = self._capture(capsys, argv)
         assert code == 2
-        # argparse reads --alpha on walls as an abbreviation of --alpha-min
-        if (command, flag) != ("walls", "--alpha"):
-            assert json.loads(out)["error"] == {
-                "type": "ConfigError",
-                "message": f"unrecognized arguments: {flag} {text}",
-            }
+        assert json.loads(out)["error"] == {
+            "type": "ConfigError",
+            "message": f"unrecognized arguments: {flag} {text}",
+        }
         with pytest.raises(ConfigError, match=f"{command} does not take {flag}"):
             run(RunConfig(command=command, **lattice, **fields, **{field: value}))
 

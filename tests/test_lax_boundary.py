@@ -239,6 +239,8 @@ class TestCertificates:
             {"val_l1": 0},
             {"a": 0},
             {"a": True},  # True == 1 would pass every arithmetic check
+            {"l0": True},
+            {"val_l0": False, "val_l1": True},
             {"l1": -1},
         ]
         for patch in bad_fields:
@@ -274,6 +276,9 @@ class TestCertificates:
     def test_search_limit(self):
         with pytest.raises(SearchLimitExceeded):
             irrationality_certificate(1, search_limit=1)
+        # True would otherwise run as a limit of one step
+        with pytest.raises(DomainError, match="search_limit must be an integer"):
+            irrationality_certificate(5, search_limit=True)
 
 
 class TestSeparation:

@@ -49,10 +49,15 @@ class TestEnumerateSpherical:
             (rho1_d1, SearchBox(3, 3, 12)),
             (rho1_d2, SearchBox(3, 3, 12)),
             (rho2_d1, SearchBox(2, 2, 8)),
+            (rho1_d1, SearchBox(0, 3, 12)),  # r_max = 0
+            (rho2_d1, SearchBox(0, 1, 2)),  # the nonempty rank-0 slice
+            (rho1_d2, SearchBox(3, 0, 12)),  # d_bound = 0
+            (rho2_d1, SearchBox(2, 2, 0)),  # s_bound = 0
         ]
         for lat, box in cases:
-            found = enumerate_spherical(lat, box)
-            assert {cls.v for cls in found} == brute_force_spherical(lat, box)
+            found = [cls.v for cls in enumerate_spherical(lat, box)]
+            # the same classes, in lexicographic order of (r, D, s)
+            assert found == sorted(brute_force_spherical(lat, box), key=MukaiVector.coords)
 
     def test_lex_order(self, rho1_d1):
         found = enumerate_spherical(rho1_d1, SearchBox(4, 4, 20))
